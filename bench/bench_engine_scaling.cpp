@@ -39,12 +39,11 @@ int main(int argc, char** argv) {
 
   const std::string json_path =
       arbor::bench::take_json_flag(argc, argv, "BENCH_engine_scaling.json");
-  const std::size_t n = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                 : (1u << 18);
-  const std::size_t m = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                 : (1u << 20);
-  const std::size_t rounds =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 6;
+  const auto args = arbor::bench::parse_count_args(
+      argc, argv, {{"n"}, {"m", 0}, {"rounds"}});
+  const std::size_t n = args[0].value_or(1u << 18);
+  const std::size_t m = args[1].value_or(1u << 20);
+  const std::size_t rounds = args[2].value_or(6);
 
   arbor::bench::banner(
       "E-engine: round throughput vs. thread count and scheduler mode",

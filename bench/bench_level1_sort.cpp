@@ -34,7 +34,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -155,12 +154,12 @@ int main(int argc, char** argv) {
   const std::string json_path =
       arbor::bench::take_json_flag(argc, argv, "BENCH_level1_sort.json");
   const std::string report_path = arbor::bench::take_report_flag(argc, argv);
-  const std::size_t records =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1'000'000;
-  const std::size_t key_range =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : (records / 16 + 1);
-  const std::size_t repeats =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 3;
+  const auto args = arbor::bench::parse_count_args(
+      argc, argv, {{"records"}, {"key_range"}, {"repeats"}},
+      "[--json PATH] [--report PATH]");
+  const std::size_t records = args[0].value_or(1'000'000);
+  const std::size_t key_range = args[1].value_or(records / 16 + 1);
+  const std::size_t repeats = args[2].value_or(3);
 
   arbor::bench::banner(
       "E-level1: central stable_sort vs. engine-backed record sample sort",

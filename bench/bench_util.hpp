@@ -7,9 +7,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -21,6 +24,8 @@
 #include "mpc/ledger.hpp"
 #include "mpc/primitives.hpp"
 #include "trace/trace.hpp"
+#include "util/assert.hpp"
+#include "util/env_knob.hpp"
 
 namespace arbor::bench {
 
@@ -334,6 +339,53 @@ inline std::string take_json_flag(int& argc, char** argv,
 inline std::string take_report_flag(int& argc, char** argv,
                                     std::string fallback = {}) {
   return take_path_flag(argc, argv, "--report", std::move(fallback));
+}
+
+/// One positional count of a bench CLI: its name (usage line and
+/// rejections) and the accepted range.
+struct CountArg {
+  const char* name = "";
+  std::size_t min = 1;
+  std::size_t max = 1'000'000'000'000;
+};
+
+/// Strict positional parsing, run after the path flags were taken out of
+/// argv. Returns one entry per `spec` item, nullopt where the argument was
+/// not given. Each argument must be a decimal count in its range
+/// (util::parse_count_knob rules); a leftover flag such as --help, a
+/// non-numeric or out-of-range value, or a surplus positional prints
+/// `prog: <offender>: <problem>` and the usage line (positionals, then
+/// `flags`) to stderr and exits 2 — before the bench runs anything or
+/// writes its JSON.
+inline std::vector<std::optional<std::size_t>> parse_count_args(
+    int argc, char** argv, std::initializer_list<CountArg> spec,
+    const char* flags = "[--json PATH]") {
+  std::string usage = std::string("usage: ") + argv[0];
+  for (const CountArg& arg : spec) usage += std::string(" [") + arg.name + "]";
+  usage += std::string(" ") + flags;
+  const auto reject = [&](const std::string& problem) {
+    std::fprintf(stderr, "%s: %s\n%s\n", argv[0], problem.c_str(),
+                 usage.c_str());
+    std::exit(2);
+  };
+
+  std::vector<std::optional<std::size_t>> values;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view value = argv[i];
+    if (value.size() > 1 && value.front() == '-')
+      reject("unknown flag " + std::string(value));
+    if (values.size() == spec.size())
+      reject("unexpected argument \"" + std::string(value) + "\"");
+    const CountArg& arg = spec.begin()[values.size()];
+    try {
+      values.push_back(util::parse_count_knob(value, "value", arg.min,
+                                              arg.max, arg.name, value));
+    } catch (const InvariantError& e) {
+      reject(e.what());
+    }
+  }
+  values.resize(spec.size());
+  return values;
 }
 
 /// Owning (config, ledger, engine, context) bundle for one algorithm run.

@@ -8,9 +8,11 @@
 #                                        # builds the 'tsan' preset and runs
 #                                        # engine_test, level0_programs_test,
 #                                        # level1_distributed_test, net_test,
-#                                        # trace_test, check_test (overlapped
-#                                        # deliver+compute AND pooled-context
-#                                        # reuse must be provably race-free)
+#                                        # trace_test, check_test, graph_test
+#                                        # (overlapped deliver+compute,
+#                                        # pooled-context reuse and concurrent
+#                                        # Graph::induced calls must be
+#                                        # provably race-free)
 #   scripts/check.sh --mp                # multi-process smoke stage only:
 #                                        # driver + 2 local arbor-worker
 #                                        # processes over loopback TCP run
@@ -30,8 +32,9 @@
 #                                        # lanes, spans per phase)
 #   scripts/check.sh --asan              # Address+UB sanitizer stage only:
 #                                        # builds the 'asan' preset and runs
-#                                        # the engine, net, trace, and
-#                                        # checked-execution tests clean
+#                                        # the engine, net, trace, checked-
+#                                        # execution, graph and MPC coloring
+#                                        # tests clean
 #   scripts/check.sh --lint              # style wall only: build and run
 #                                        # tools/arbor_lint over src/ (raw
 #                                        # getenv, unnamed distributable
@@ -177,7 +180,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --preset tsan "$@"
   cmake --build build-tsan -j"${JOBS}" \
     --target engine_test level0_programs_test level1_distributed_test \
-             net_test trace_test check_test arbor-worker
+             net_test trace_test check_test graph_test arbor-worker
   echo "== tsan: engine_test =="
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/engine_test
   echo "== tsan: level0_programs_test (DeterminismMatrix's parallel(4)"
@@ -196,6 +199,9 @@ if [[ "${1:-}" == "--tsan" ]]; then
   echo "== tsan: check_test (checked-mode programs: the Monitor's"
   echo "         owned_span gate and loopback monitors must be race-free) =="
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/check_test
+  echo "== tsan: graph_test (four threads call Graph::induced at once: the"
+  echo "         per-thread relabel tables must be provably race-free) =="
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/graph_test
   echo "== tsan: clean =="
   exit 0
 fi
@@ -204,10 +210,12 @@ if [[ "${1:-}" == "--asan" ]]; then
   shift
   cmake --preset asan "$@"
   cmake --build build-asan -j"${JOBS}" \
-    --target engine_test net_test trace_test check_test arbor-worker
+    --target engine_test net_test trace_test check_test graph_test \
+             coloring_mpc_test arbor-worker
   # abort_on_error so a worker PROCESS dying on a report fails the driver
   # visibly; detect_leaks stays on (the default) — the wall is the point.
-  for t in engine_test net_test trace_test check_test; do
+  for t in engine_test net_test trace_test check_test graph_test \
+           coloring_mpc_test; do
     echo "== asan: ${t} =="
     ASAN_OPTIONS="abort_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./build-asan/${t}"

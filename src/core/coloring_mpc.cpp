@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <unordered_set>
 
 #include "core/density_estimate.hpp"
 #include "core/orientation_mpc.hpp"
@@ -19,34 +17,63 @@ namespace {
 
 constexpr graph::Color kUncolored = 0xffffffffu;
 
-/// Size (in tree-of-influence nodes) of v's cone: vertices reachable along
-/// paths whose layers never decrease, restricted to layers in
-/// [block_lo, block_hi], up to `radius` hops, plus the immediate boundary
-/// neighbors in layers > block_hi (their colors are inputs to the replay).
-std::size_t cone_size(const graph::Graph& g, const LayerAssignment& layering,
+/// Scratch for the cone gauge, reused by every sample and block of one
+/// color_single_part call: a visited bitset of ⌈n/64⌉ words and a FIFO of
+/// vertex ids walked one BFS level at a time. Both are clean between
+/// samples — the bitset is cleared by walking the queue, not by an O(n)
+/// fill.
+class ConeGauge {
+ public:
+  explicit ConeGauge(std::size_t n) : visited_((n + 63) / 64, 0) {}
+
+  /// Size (in tree-of-influence nodes) of v's cone: vertices reachable
+  /// along paths whose layers never decrease, restricted to layers in
+  /// [block_lo, block_hi], up to `radius` hops, plus the immediate boundary
+  /// neighbors in layers > block_hi (their colors are inputs to the
+  /// replay), counted once per edge.
+  std::size_t measure(const graph::Graph& g, const LayerAssignment& layering,
                       graph::VertexId start, Layer block_lo, Layer block_hi,
                       std::size_t radius) {
-  std::unordered_set<graph::VertexId> seen{start};
-  std::deque<std::pair<graph::VertexId, std::size_t>> queue{{start, 0}};
-  std::size_t boundary = 0;
-  while (!queue.empty()) {
-    const auto [v, dist] = queue.front();
-    queue.pop_front();
-    if (dist == radius) continue;
-    const Layer lv = layering.layer[v];
-    for (graph::VertexId w : g.neighbors(v)) {
-      const Layer lw = layering.layer[w];
-      if (lw < lv) continue;  // influence flows along non-decreasing layers
-      if (lw > block_hi) {
-        ++boundary;  // colored input from a higher layer; one word of color
-        continue;
+    std::size_t boundary = 0;
+    visit(start);
+    std::size_t level_begin = 0;
+    for (std::size_t dist = 0; dist < radius && level_begin < queue_.size();
+         ++dist) {
+      const std::size_t level_end = queue_.size();
+      for (std::size_t i = level_begin; i < level_end; ++i) {
+        const graph::VertexId v = queue_[i];
+        const Layer lv = layering.layer[v];
+        for (graph::VertexId w : g.neighbors(v)) {
+          const Layer lw = layering.layer[w];
+          if (lw < lv) continue;  // influence flows along non-decreasing layers
+          if (lw > block_hi) {
+            ++boundary;  // colored input from a higher layer; one word of color
+            continue;
+          }
+          if (lw < block_lo) continue;
+          visit(w);
+        }
       }
-      if (lw < block_lo) continue;
-      if (seen.insert(w).second) queue.emplace_back(w, dist + 1);
+      level_begin = level_end;
     }
+    const std::size_t discovered = queue_.size();
+    for (graph::VertexId v : queue_) visited_[v >> 6] = 0;
+    queue_.clear();
+    return discovered + boundary;
   }
-  return seen.size() + boundary;
-}
+
+ private:
+  void visit(graph::VertexId v) {
+    std::uint64_t& word = visited_[v >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+    if (word & bit) return;
+    word |= bit;
+    queue_.push_back(v);
+  }
+
+  std::vector<std::uint64_t> visited_;
+  std::vector<graph::VertexId> queue_;
+};
 
 struct LayerColoringOutcome {
   std::size_t local_rounds = 0;
@@ -64,20 +91,30 @@ LayerColoringOutcome color_one_layer(
   LayerColoringOutcome outcome;
   if (members.empty()) return outcome;
 
+  trace::Span layer_span = trace::Tracer::global().span("mpc", "color.layer");
   const auto sub = g.induced(members);
   std::vector<std::vector<graph::Color>> palettes(members.size());
   std::vector<std::uint64_t> keys(members.size());
+  // forbidden_by[c] == i + 1 iff color palette_base + c is taken by a
+  // higher-layer neighbor of member i; the stamps never need a reset.
+  std::vector<std::uint32_t> forbidden_by(palette_count, 0);
   for (std::size_t i = 0; i < members.size(); ++i) {
     const graph::VertexId v = sub.to_original[i];
     keys[i] = global_keys[v];
-    std::unordered_set<graph::Color> forbidden;
+    const auto stamp = static_cast<std::uint32_t>(i + 1);
+    std::size_t forbidden = 0;
     for (graph::VertexId w : g.neighbors(v)) {
-      if (layering.layer[w] > j && colors[w] != kUncolored)
-        forbidden.insert(colors[w]);
+      if (layering.layer[w] <= j || colors[w] == kUncolored) continue;
+      const std::size_t c = colors[w] - palette_base;
+      if (c < palette_count && forbidden_by[c] != stamp) {
+        forbidden_by[c] = stamp;
+        ++forbidden;
+      }
     }
+    palettes[i].reserve(palette_count - forbidden);
     for (std::size_t c = 0; c < palette_count; ++c) {
-      const auto color = static_cast<graph::Color>(palette_base + c);
-      if (!forbidden.contains(color)) palettes[i].push_back(color);
+      if (forbidden_by[c] != stamp)
+        palettes[i].push_back(static_cast<graph::Color>(palette_base + c));
     }
   }
 
@@ -140,6 +177,7 @@ SinglePartResult color_single_part(const graph::Graph& g,
   }
 
   util::SplitRng sample_rng(params.seed ^ 0x5a3b1e50ULL);
+  ConeGauge gauge(n);
 
   // ---- Blocked descent with directed exponentiation. ----
   Layer j = top;
@@ -184,13 +222,15 @@ SinglePartResult color_single_part(const graph::Graph& g,
 
     // Cone gauge on a sample of block vertices.
     if (!block_members.empty()) {
+      trace::Span gauge_span =
+          trace::Tracer::global().span("mpc", "color.cone_gauge");
       const std::size_t samples =
           std::min(params.cone_sample, block_members.size());
       for (std::size_t i = 0; i < samples; ++i) {
         const graph::VertexId v = block_members[static_cast<std::size_t>(
             sample_rng.next_below(block_members.size()))];
         const std::size_t cone =
-            cone_size(g, layering.assignment, v, j_lo, j, radius);
+            gauge.measure(g, layering.assignment, v, j_lo, j, radius);
         result.max_sampled_cone_nodes =
             std::max(result.max_sampled_cone_nodes, cone);
       }

@@ -24,10 +24,17 @@
 //     LOCAL round.
 //
 // Cone-size accounting: the influence cone of v is its reachable set along
-// paths with non-decreasing layers, length ≤ block_width·(trials+1). We
-// measure cones on a vertex sample per block (exact cones for every vertex
+// paths with non-decreasing layers inside the block, up to the radius the
+// replay realized (its LOCAL rounds plus one hop per layer), plus one word
+// per edge into a higher, already-colored layer. We measure cones on a
+// vertex sample per block (`cone_sample`; exact cones for every vertex
 // would cost more than the coloring itself) and gauge the local-memory
-// envelope from the sample maximum; E10 sweeps this.
+// envelope from the sample maximum; E10 sweeps this. The gauge is a
+// level-by-level BFS over one scratch per part — a visited bitset of ⌈n/64⌉
+// words and a vertex-id queue, cleared by walking the queue — so a sample
+// costs O(cone volume) and never O(n). The trace attributes it to the
+// `color.cone_gauge` span, and each layer's palettes + induced subgraph +
+// list coloring to `color.layer`, both nested under `coloring`.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/assert.hpp"
 
@@ -28,16 +27,52 @@ double Graph::average_degree() const noexcept {
          static_cast<double>(num_vertices());
 }
 
+namespace {
+
+constexpr VertexId kUnmapped = ~VertexId{0};
+
+/// The calling thread's dense relabel table: slot v holds the new id of
+/// original vertex v while an induced() call runs, kUnmapped otherwise.
+/// It only grows (to the largest graph the thread has seen) and every call
+/// resets exactly the slots it set, so no call pays O(n) after the first.
+std::vector<VertexId>& relabel_table(std::size_t n) {
+  thread_local std::vector<VertexId> table;
+  if (table.size() < n) table.resize(n, kUnmapped);
+  return table;
+}
+
+/// Clears the slots of the first `mapped` selected vertices on scope exit,
+/// so a selection rejected halfway leaves the table clean.
+class RelabelReset {
+ public:
+  RelabelReset(std::vector<VertexId>& table,
+               std::span<const VertexId> vertices)
+      : table_(table), vertices_(vertices) {}
+  ~RelabelReset() {
+    for (std::size_t i = 0; i < mapped; ++i) table_[vertices_[i]] = kUnmapped;
+  }
+  RelabelReset(const RelabelReset&) = delete;
+  RelabelReset& operator=(const RelabelReset&) = delete;
+
+  std::size_t mapped = 0;
+
+ private:
+  std::vector<VertexId>& table_;
+  std::span<const VertexId> vertices_;
+};
+
+}  // namespace
+
 InducedSubgraph Graph::induced(std::span<const VertexId> vertices) const {
-  std::unordered_map<VertexId, VertexId> to_new;
-  to_new.reserve(vertices.size());
-  std::vector<VertexId> to_original(vertices.begin(), vertices.end());
+  std::vector<VertexId>& to_new = relabel_table(num_vertices());
+  RelabelReset reset(to_new, vertices);
   for (std::size_t i = 0; i < vertices.size(); ++i) {
     ARBOR_CHECK_MSG(vertices[i] < num_vertices(),
                     "induced(): vertex id out of range");
-    const bool inserted =
-        to_new.emplace(vertices[i], static_cast<VertexId>(i)).second;
-    ARBOR_CHECK_MSG(inserted, "induced(): duplicate vertex in selection");
+    ARBOR_CHECK_MSG(to_new[vertices[i]] == kUnmapped,
+                    "induced(): duplicate vertex in selection");
+    to_new[vertices[i]] = static_cast<VertexId>(i);
+    reset.mapped = i + 1;
   }
 
   // Build CSR for the subgraph directly: count, then fill.
@@ -45,32 +80,34 @@ InducedSubgraph Graph::induced(std::span<const VertexId> vertices) const {
   std::vector<EdgeId> offsets(sub_n + 1, 0);
   for (std::size_t i = 0; i < sub_n; ++i) {
     for (VertexId w : neighbors(vertices[i]))
-      if (to_new.contains(w)) ++offsets[i + 1];
+      if (to_new[w] != kUnmapped) ++offsets[i + 1];
   }
   for (std::size_t i = 0; i < sub_n; ++i) offsets[i + 1] += offsets[i];
 
   std::vector<VertexId> adjacency(offsets[sub_n]);
-  std::vector<Edge> edges;
-  std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
   for (std::size_t i = 0; i < sub_n; ++i) {
-    for (VertexId w : neighbors(vertices[i])) {
-      const auto it = to_new.find(w);
-      if (it == to_new.end()) continue;
-      const VertexId j = it->second;
-      adjacency[cursor[i]++] = j;
-      if (i < j) edges.push_back({static_cast<VertexId>(i), j});
-    }
+    EdgeId cursor = offsets[i];
+    for (VertexId w : neighbors(vertices[i]))
+      if (to_new[w] != kUnmapped) adjacency[cursor++] = to_new[w];
   }
   // Neighbor lists inherit the original order keyed by *original* ids; the
-  // subgraph must be sorted by *new* ids.
+  // subgraph must be sorted by *new* ids. Walking the sorted lists in
+  // vertex order then emits the canonical edges already sorted.
+  std::vector<Edge> edges;
+  edges.reserve(offsets[sub_n] / 2);
   for (std::size_t i = 0; i < sub_n; ++i) {
-    std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
-              adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
+    const auto first =
+        adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[i]);
+    const auto last =
+        adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]);
+    std::sort(first, last);
+    for (auto it = std::upper_bound(first, last, static_cast<VertexId>(i));
+         it != last; ++it)
+      edges.push_back({static_cast<VertexId>(i), *it});
   }
-  std::sort(edges.begin(), edges.end());
 
   return {Graph(std::move(offsets), std::move(adjacency), std::move(edges)),
-          std::move(to_original)};
+          std::vector<VertexId>(vertices.begin(), vertices.end())};
 }
 
 }  // namespace arbor::graph

@@ -67,7 +67,15 @@ class Graph {
   double average_degree() const noexcept;
 
   /// Subgraph induced by `vertices` (need not be sorted; duplicates
-  /// rejected). Also returns the mapping from new ids to original ids.
+  /// rejected). Also returns the mapping from new ids to original ids;
+  /// new id i is `vertices[i]`.
+  ///
+  /// Cost: O(|S| + vol(S) + Σ d_S(v) log d_S(v)) for the selection S, never
+  /// O(n). The relabel goes through a dense table kept per calling thread,
+  /// sized to the largest graph that thread has seen and reset slot by slot
+  /// after every call, also when a check rejects the selection. Concurrent
+  /// calls from different threads, on the same graph or on different ones,
+  /// are therefore safe.
   InducedSubgraph induced(std::span<const VertexId> vertices) const;
 
  private:

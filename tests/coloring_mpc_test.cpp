@@ -12,6 +12,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "mpc/ledger.hpp"
+#include "util/hashing.hpp"
 #include "util/rng.hpp"
 
 namespace arbor::core {
@@ -156,6 +157,62 @@ TEST(MpcColor, PaletteFactorIsHonored) {
   const MpcColoringResult result = mpc_color(g, params, ctx);
   EXPECT_TRUE(graph::check_coloring(g, result.colors).proper);
   EXPECT_GE(result.palette_size, 5u * result.layering_outdegree);
+}
+
+// ---- Golden pin: the coloring hot path must stay bit-identical. ----
+//
+// Values recorded from the hash-container implementation of the cone gauge,
+// the layer palettes and Graph::induced; any rewrite of those must
+// reproduce colors, cone gauge, block count and ledger exactly.
+
+struct Golden {
+  std::uint64_t colors_hash = 0;
+  std::size_t max_sampled_cone_nodes = 0;
+  std::size_t blocks = 0;
+  std::size_t total_rounds = 0;
+  std::size_t peak_local_words = 0;
+};
+
+std::uint64_t colors_hash(const std::vector<graph::Color>& colors) {
+  std::uint64_t h = util::mix64(colors.size());
+  for (graph::Color c : colors) h = util::hash_combine(h, c);
+  return h;
+}
+
+void expect_golden(const Graph& g, const Golden& want,
+                   std::size_t* parts_out = nullptr) {
+  mpc::RoundLedger* ledger = nullptr;
+  auto ctx = make_ctx(g, ledger);
+  const MpcColoringResult result = mpc_color(g, {}, ctx);
+  ASSERT_TRUE(graph::check_coloring(g, result.colors).proper);
+  EXPECT_EQ(colors_hash(result.colors), want.colors_hash);
+  EXPECT_EQ(result.max_sampled_cone_nodes, want.max_sampled_cone_nodes);
+  EXPECT_EQ(result.blocks, want.blocks);
+  EXPECT_EQ(ledger->total_rounds(), want.total_rounds);
+  EXPECT_EQ(ledger->peak_local_words(), want.peak_local_words);
+  if (parts_out != nullptr) *parts_out = result.parts;
+}
+
+TEST(MpcColorGolden, ForestUnion) {
+  util::SplitRng rng(41);
+  const Graph g = graph::forest_union(5000, 2, rng);
+  expect_golden(g, {14720400743286260775ULL, 15, 3, 52, 15});
+}
+
+TEST(MpcColorGolden, BarabasiAlbert) {
+  util::SplitRng rng(42);
+  const Graph g = graph::barabasi_albert(5000, 4, rng);
+  expect_golden(g, {12861968543160172654ULL, 1396, 4, 85, 1396});
+}
+
+// Every part stays under the tail threshold (no blocks, no cone gauge), so
+// this pins the per-part palettes and induced subgraphs of Lemma 2.2.
+TEST(MpcColorGolden, PlantedCliqueVertexPartition) {
+  util::SplitRng rng(43);
+  const Graph g = graph::planted_clique(5000, 10000, 120, rng);
+  std::size_t parts = 0;
+  expect_golden(g, {17065311185975988159ULL, 0, 0, 7, 0}, &parts);
+  EXPECT_GT(parts, 1u);  // the Lemma 2.2 path, not the single-part one
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
@@ -88,6 +91,26 @@ TEST(Graph, HasEdgeOutOfRangeIsFalse) {
   EXPECT_FALSE(g.has_edge(7, 9));
 }
 
+/// Run `fn`, expect an InvariantError whose message names `fragment`.
+template <typename Fn>
+void expect_rejected(Fn&& fn, const std::string& fragment) {
+  try {
+    fn();
+    FAIL() << "expected rejection: " << fragment;
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
+        << e.what();
+  }
+}
+
+/// Path 0-1-...-(n-1).
+Graph path_graph(std::size_t n) {
+  GraphBuilder b(n);
+  for (std::size_t v = 0; v + 1 < n; ++v)
+    b.add_edge(static_cast<VertexId>(v), static_cast<VertexId>(v + 1));
+  return b.build();
+}
+
 TEST(Graph, InducedSubgraphKeepsInternalEdges) {
   GraphBuilder b(6);
   b.add_edge(0, 1);
@@ -112,7 +135,8 @@ TEST(Graph, InducedSubgraphKeepsInternalEdges) {
 TEST(Graph, InducedRejectsDuplicates) {
   const Graph g = from_edges(3, std::vector<Edge>{{0, 1}});
   const std::vector<VertexId> pick{1, 1};
-  EXPECT_THROW(g.induced(pick), InvariantError);
+  expect_rejected([&] { (void)g.induced(pick); },
+                  "induced(): duplicate vertex in selection");
 }
 
 TEST(Graph, InducedEmptySelection) {
@@ -120,6 +144,89 @@ TEST(Graph, InducedEmptySelection) {
   const auto sub = g.induced(std::vector<VertexId>{});
   EXPECT_EQ(sub.graph.num_vertices(), 0u);
   EXPECT_EQ(sub.graph.num_edges(), 0u);
+}
+
+TEST(Graph, InducedRejectsOutOfRangeByName) {
+  const Graph g = from_edges(3, std::vector<Edge>{{0, 1}});
+  const std::vector<VertexId> pick{0, 3};
+  expect_rejected([&] { (void)g.induced(pick); },
+                  "induced(): vertex id out of range");
+}
+
+TEST(Graph, InducedRelabelTableIsCleanAfterRejection) {
+  const Graph g = path_graph(6);
+  // Both rejections happen after earlier vertices were relabelled.
+  const std::vector<VertexId> duplicate{4, 2, 3, 2};
+  expect_rejected([&] { (void)g.induced(duplicate); }, "duplicate vertex");
+  const std::vector<VertexId> out_of_range{4, 2, 3, 6};
+  expect_rejected([&] { (void)g.induced(out_of_range); }, "out of range");
+
+  // A stale slot would read as a duplicate or wire in a wrong neighbor.
+  const std::vector<VertexId> pick{4, 2, 3};
+  const auto sub = g.induced(pick);
+  EXPECT_EQ(sub.to_original, pick);
+  EXPECT_EQ(sub.graph.num_edges(), 2u);  // 2-3 and 3-4
+  EXPECT_TRUE(sub.graph.has_edge(1, 2));   // 2-3
+  EXPECT_TRUE(sub.graph.has_edge(0, 2));   // 4-3
+  EXPECT_FALSE(sub.graph.has_edge(0, 1));  // 4, 2 not adjacent
+}
+
+TEST(Graph, InducedOfInduced) {
+  const Graph g = path_graph(10);
+  const std::vector<VertexId> outer{9, 7, 8, 6, 5, 1};
+  const auto first = g.induced(outer);
+  // first: 0=9 1=7 2=8 3=6 4=5 5=1; edges 9-8, 7-8, 7-6, 6-5.
+  ASSERT_EQ(first.graph.num_edges(), 4u);
+  const std::vector<VertexId> inner{3, 1, 4};  // originals 6, 7, 5
+  const auto second = first.graph.induced(inner);
+  EXPECT_EQ(second.graph.num_vertices(), 3u);
+  EXPECT_EQ(second.graph.num_edges(), 2u);
+  EXPECT_TRUE(second.graph.has_edge(0, 1));  // 6-7
+  EXPECT_TRUE(second.graph.has_edge(0, 2));  // 6-5
+  EXPECT_FALSE(second.graph.has_edge(1, 2));
+  const std::vector<Edge> want{{0, 1}, {0, 2}};
+  EXPECT_TRUE(std::equal(second.graph.edges().begin(),
+                         second.graph.edges().end(), want.begin(),
+                         want.end()));
+}
+
+TEST(Graph, InducedSmallGraphAfterLargeGraph) {
+  const Graph large = path_graph(5000);
+  std::vector<VertexId> tail;
+  for (VertexId v = 4990; v < 5000; ++v) tail.push_back(v);
+  EXPECT_EQ(large.induced(tail).graph.num_edges(), 9u);
+
+  // Ids 0..2 of the small graph share table slots the large call used.
+  const Graph small = from_edges(3, std::vector<Edge>{{0, 2}});
+  const std::vector<VertexId> pick{2, 1, 0};
+  const auto sub = small.induced(pick);
+  EXPECT_EQ(sub.graph.num_edges(), 1u);
+  EXPECT_TRUE(sub.graph.has_edge(0, 2));
+  expect_rejected([&] { (void)small.induced(std::vector<VertexId>{4990}); },
+                  "out of range");
+}
+
+TEST(Graph, InducedFromConcurrentThreads) {
+  const Graph g = path_graph(4000);
+  std::vector<std::vector<std::size_t>> edge_counts(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&g, &edge_counts, t] {
+      for (std::size_t rep = 0; rep < 50; ++rep) {
+        // Overlapping windows: every thread relabels vertices the others
+        // are relabelling at the same time.
+        std::vector<VertexId> window;
+        for (std::size_t v = t * 500 + rep; v < t * 500 + rep + 1500; ++v)
+          window.push_back(static_cast<VertexId>(v));
+        edge_counts[t].push_back(g.induced(window).graph.num_edges());
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const auto& counts : edge_counts) {
+    ASSERT_EQ(counts.size(), 50u);
+    for (std::size_t c : counts) EXPECT_EQ(c, 1499u);
+  }
 }
 
 TEST(GraphIo, RoundTrip) {

@@ -9,7 +9,10 @@
 //   * a traced tcp worker group ships spans and metrics back: the merged
 //     report carries both workers' lanes, and the driver-side
 //     cluster.round_words.* counters match the ledger's per-label traffic
-//     totals exactly.
+//     totals exactly;
+//   * a traced mpc_color attributes its cone gauge and its per-layer
+//     coloring (palettes + induced + list_color) to spans nested under the
+//     coloring stage span.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -17,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "core/coloring_mpc.hpp"
+#include "graph/coloring.hpp"
 #include "graph/generators.hpp"
 #include "local/mpc_embedding.hpp"
 #include "mpc/cluster.hpp"
@@ -312,6 +317,50 @@ TEST(TraceTelemetry, FetchCacheHitsCountedAndObservationOnly) {
   EXPECT_EQ(with_cache.layer, without.layer);
   EXPECT_EQ(with_cache.num_layers, without.num_layers);
   EXPECT_EQ(with_cache.complete, without.complete);
+  tracer.clear();
+}
+
+// ------------------------------------------------- pipeline stage spans
+
+TEST(TraceStages, ColoringNestsConeGaugeAndLayerSpans) {
+  Tracer& tracer = Tracer::global();
+  ScopedMode guard(tracer, Mode::kSpans);
+  tracer.clear();
+
+  util::SplitRng rng(6);
+  const graph::Graph g = graph::forest_union(5000, 2, rng);
+  const ClusterConfig cfg =
+      ClusterConfig::for_problem(g.num_vertices(), g.num_edges(), 0.6);
+  mpc::RoundLedger ledger(cfg);
+  mpc::MpcContext ctx(cfg, &ledger);
+  const core::MpcColoringResult result = core::mpc_color(g, {}, ctx);
+  ASSERT_TRUE(graph::check_coloring(g, result.colors).proper);
+  ASSERT_GE(result.blocks, 1u);  // the blocked descent ran, so did the gauge
+
+  const TelemetryBlob blob = tracer.drain_telemetry();
+  std::vector<TelemetrySpan> coloring;
+  for (const TelemetrySpan& span : blob.spans)
+    if (span.category == "mpc" && span.name == "coloring")
+      coloring.push_back(span);
+  ASSERT_EQ(coloring.size(), 1u);
+  const TelemetrySpan& stage = coloring.front();
+
+  std::map<std::string, std::size_t> nested;
+  for (const TelemetrySpan& span : blob.spans) {
+    if (span.name != "color.cone_gauge" && span.name != "color.layer")
+      continue;
+    EXPECT_EQ(span.category, "mpc") << span.name;
+    EXPECT_EQ(span.tid, stage.tid) << span.name;
+    EXPECT_GE(span.start_ns, stage.start_ns) << span.name;
+    EXPECT_LE(span.start_ns + span.dur_ns, stage.start_ns + stage.dur_ns)
+        << span.name;
+    ++nested[span.name];
+  }
+  // One gauge per block; one layer span per non-empty layer, and every
+  // block colors at least one layer.
+  EXPECT_GE(nested["color.cone_gauge"], 1u);
+  EXPECT_LE(nested["color.cone_gauge"], result.blocks);
+  EXPECT_GE(nested["color.layer"], result.blocks);
   tracer.clear();
 }
 

@@ -29,7 +29,6 @@
 #include "graph/generators.hpp"
 #include "mpc/cluster.hpp"
 #include "mpc/ledger.hpp"
-#include "mpc/sample_sort.hpp"
 #include "util/rng.hpp"
 
 int main(int argc, char** argv) {
@@ -193,78 +192,6 @@ int main(int argc, char** argv) {
               async_vs_strict_at_8);
   report.meta("speedup_at_8", speedup_at_8);
   report.meta("async_vs_strict_at_8", async_vs_strict_at_8);
-
-  // -------- splitter strategy A/B: the word sample sort program at
-  // several cluster widths, coordinator vs. splitter relay tree. The
-  // interesting column is the splitter rounds' per-machine traffic peak
-  // (the ledger's per-label peaks): Θ(p·s)+Θ(p²) at the coordinator,
-  // O(√p·s) in the tree.
-  {
-    using arbor::mpc::SplitterStrategy;
-    using arbor::mpc::Word;
-    const std::size_t samples = 32;
-    arbor::bench::Table ab({"machines", "variant", "ms", "rounds",
-                            "splitter_peak_w"});
-    for (const std::size_t machines : {64u, 256u}) {
-      const auto word_slabs = [&] {
-        arbor::util::SplitRng sort_rng(31);
-        std::vector<std::vector<Word>> slabs(machines);
-        for (auto& slab : slabs)
-          for (int i = 0; i < 256; ++i)
-            slab.push_back(sort_rng.next_below(1u << 30));
-        return slabs;
-      }();
-      std::size_t total = 0;
-      for (const auto& slab : word_slabs) total += slab.size();
-      ClusterConfig sort_cfg{machines,
-                             2 * total + machines * (samples + 1) +
-                                 machines * machines};
-      std::vector<Word> reference;
-      for (const SplitterStrategy strategy :
-           {SplitterStrategy::kCoordinator, SplitterStrategy::kTree}) {
-        const bool is_tree = strategy == SplitterStrategy::kTree;
-        arbor::mpc::RoundLedger ledger(sort_cfg);
-        arbor::mpc::Cluster cluster(sort_cfg, &ledger);
-        const auto start = std::chrono::steady_clock::now();
-        const arbor::mpc::SampleSortResult sorted =
-            sample_sort(cluster, word_slabs, samples, strategy);
-        const auto stop = std::chrono::steady_clock::now();
-        std::vector<Word> flat;
-        for (const auto& slab : sorted.slabs)
-          flat.insert(flat.end(), slab.begin(), slab.end());
-        if (!is_tree) {
-          reference = std::move(flat);
-        } else if (flat != reference) {
-          std::fprintf(stderr,
-                       "FATAL: splitter strategies disagree at "
-                       "machines=%zu\n",
-                       machines);
-          return 1;
-        }
-        const std::size_t splitter_peak =
-            arbor::bench::classify_sort_peaks(ledger.peak_traffic_by_label())
-                .splitter;
-        const double secs =
-            std::chrono::duration<double>(stop - start).count();
-        const char* variant = is_tree ? "tree" : "coordinator";
-        ab.add_row({arbor::bench::fmt(machines), variant,
-                    arbor::bench::fmt(secs * 1e3, 1),
-                    arbor::bench::fmt(sorted.rounds),
-                    arbor::bench::fmt(splitter_peak)});
-        report.row()
-            .set("section", "splitter_ab")
-            .set("backend", "serial")
-            .set("variant", variant)
-            .set("machines", machines)
-            .set("words", total)
-            .set("ms", secs * 1e3)
-            .set("rounds", sorted.rounds)
-            .set("splitter_peak_words", splitter_peak);
-      }
-    }
-    std::printf("\nsplitter strategy A/B (word sort, 256 words/machine):\n");
-    ab.print();
-  }
 
   // -------- checked-execution A/B: ExecutionPolicy::check must be
   // zero-cost when off. The storm program now declares Ownership families

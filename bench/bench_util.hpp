@@ -223,9 +223,8 @@ class JsonReport {
   }
 
  private:
-  /// Effective ARBOR_* knob block: which transport, Level-1 sort path, and
-  /// route-aggregation setting the run executed under (the trace mode rides
-  /// in stamp_trace_summary). Stamped into EVERY report uniformly so a
+  /// Effective ARBOR_* knob block: which transport and Level-1 sort path
+  /// the run executed under (the trace mode rides in stamp_trace_summary). Stamped into EVERY report uniformly so a
   /// trajectory diff never has to guess the environment.
   void stamp_env_knobs();
 
@@ -250,29 +249,6 @@ class JsonReport {
   Object meta_;
   std::vector<Object> rows_;
 };
-
-/// Shared classification of the sample sort's per-label ledger traffic
-/// peaks (RoundLedger::peak_traffic_by_label) into splitter rounds vs.
-/// data-movement rounds, so every bench's coordinator-vs-tree A/B rows
-/// report "splitter_peak_words" under ONE rule: route and bucket-sort
-/// rounds move data, everything else (sample/up/pick/splitters/down) is
-/// splitter agreement.
-struct SplitterPeaks {
-  std::size_t splitter = 0;
-  std::size_t route = 0;
-};
-inline SplitterPeaks classify_sort_peaks(
-    const std::map<std::string, std::size_t>& peaks_by_label) {
-  SplitterPeaks out;
-  for (const auto& [label, peak] : peaks_by_label) {
-    if (label.find(".route") != std::string::npos ||
-        label.find(".sort") != std::string::npos)
-      out.route = std::max(out.route, peak);
-    else
-      out.splitter = std::max(out.splitter, peak);
-  }
-  return out;
-}
 
 /// Canonical `backend` tag for JSON rows: which executor a cluster config
 /// actually runs its programs on — "serial"/"parallel" in-process, or
@@ -300,7 +276,6 @@ inline std::string transport_name(const mpc::TransportConfig& t) {
 inline void JsonReport::stamp_env_knobs() {
   meta_.set("transport_knob", transport_name(mpc::transport_env_default()));
   meta_.set("distributed_level1_knob", mpc::distributed_level1_env_default());
-  meta_.set("route_aggregation_knob", mpc::route_aggregation_env_default());
 }
 
 /// Extract `FLAG PATH` (or `FLAG=PATH`) from argv, compacting argv so the

@@ -2,6 +2,9 @@
 //
 //   edge_list_tool INPUT [--delta D] [--seed S] [--out PREFIX]
 //
+// --delta must be a finite decimal in (0, 1) and --seed an unsigned
+// decimal; a malformed value exits 2 naming the flag.
+//
 // INPUT format: first non-comment line "n m", then m lines "u v"
 // (0-indexed). Writes PREFIX.orientation (one "u v" per line, tail first)
 // and PREFIX.colors (one color per line, vertex order) when --out is
@@ -9,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "core/coloring_mpc.hpp"
@@ -17,6 +21,8 @@
 #include "graph/io.hpp"
 #include "mpc/config.hpp"
 #include "mpc/ledger.hpp"
+#include "util/assert.hpp"
+#include "util/env_knob.hpp"
 
 namespace {
 
@@ -38,20 +44,39 @@ int main(int argc, char** argv) {
   double delta = 0.6;
   std::uint64_t seed = 1;
   std::string out_prefix;
-  for (int i = 2; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--delta") && i + 1 < argc)
-      delta = std::stod(argv[++i]);
-    else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc)
-      seed = std::stoull(argv[++i]);
-    else if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
-      out_prefix = argv[++i];
-    else {
-      usage(argv[0]);
-      return 2;
+  try {
+    for (int i = 2; i < argc; ++i) {
+      const bool has_value = i + 1 < argc;
+      if (!std::strcmp(argv[i], "--delta") && has_value) {
+        const char* text = argv[++i];
+        delta = util::parse_finite_knob(text, "--delta");
+        if (!(delta > 0.0 && delta < 1.0))
+          util::reject_knob("--delta", text, "must be in (0, 1)");
+      } else if (!std::strcmp(argv[i], "--seed") && has_value) {
+        const char* text = argv[++i];
+        seed = util::parse_count_knob(
+            text, "value", 0, std::numeric_limits<std::uint64_t>::max(),
+            "--seed", text);
+      } else if (!std::strcmp(argv[i], "--out") && has_value) {
+        out_prefix = argv[++i];
+      } else {
+        usage(argv[0]);
+        return 2;
+      }
     }
+  } catch (const InvariantError& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    usage(argv[0]);
+    return 2;
   }
 
-  const graph::Graph g = graph::read_edge_list_file(input);
+  graph::Graph g;
+  try {
+    g = graph::read_edge_list_file(input);
+  } catch (const InvariantError& e) {
+    std::fprintf(stderr, "%s: %s: %s\n", argv[0], input.c_str(), e.what());
+    return 1;
+  }
   std::printf("loaded %s: n=%zu m=%zu\n", input.c_str(), g.num_vertices(),
               g.num_edges());
 

@@ -10,9 +10,9 @@
 //   ./engine_multiprocess --report report.json   # observatory RunReport log
 //
 // The tcp runs exec the arbor-worker binary next to this one (override
-// with ARBOR_WORKER_BIN). Exit code 0 = every backend agreed.
+// with ARBOR_WORKER_BIN). Exit code 0 = every backend agreed; a malformed
+// argument exits 2 naming the offender (bench::parse_count_args).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -28,18 +28,32 @@ int main(int argc, char** argv) {
   using arbor::mpc::TransportConfig;
 
   const std::string report_path = arbor::bench::take_report_flag(argc, argv);
+  // Take every `--transport NAME` pair out of argv; whatever is left must
+  // be the counts (a dangling --transport stays behind and is rejected).
   std::vector<std::string> transports;
-  std::vector<std::size_t> positional;
+  int kept = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--transport") == 0 && i + 1 < argc)
       transports.push_back(argv[++i]);
     else
-      positional.push_back(std::strtoull(argv[i], nullptr, 10));
+      argv[kept++] = argv[i];
   }
+  argc = kept;
+  const auto args = arbor::bench::parse_count_args(
+      argc, argv, {{"n"}, {"m", 0}, {"rounds"}},
+      "[--transport KIND[:WORKERS]]... [--report PATH]");
   if (transports.empty()) transports = {"loopback:2", "tcp:2"};
-  const std::size_t n = positional.size() > 0 ? positional[0] : 4000;
-  const std::size_t m = positional.size() > 1 ? positional[1] : 16000;
-  const std::size_t rounds = positional.size() > 2 ? positional[2] : 8;
+  for (const std::string& name : transports) {
+    try {
+      arbor::mpc::parse_transport_flag(name, "--transport");
+    } catch (const arbor::InvariantError& e) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+      return 2;
+    }
+  }
+  const std::size_t n = args[0].value_or(4000);
+  const std::size_t m = args[1].value_or(16000);
+  const std::size_t rounds = args[2].value_or(8);
 
   arbor::util::SplitRng rng(7);
   const arbor::graph::Graph g = arbor::graph::gnm(n, m, rng);

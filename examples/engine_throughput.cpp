@@ -11,11 +11,16 @@
 // any number is printed.
 //
 //   ./engine_throughput [n] [m] [rounds] [threads]
+//
+// Positionals parse strictly (bench::parse_count_args): a flag, a
+// non-numeric or out-of-range value, or a surplus argument exits 2 naming
+// the offender.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
+#include "../bench/bench_util.hpp"
 #include "../bench/engine_storm.hpp"
 #include "graph/generators.hpp"
 #include "local/mpc_embedding.hpp"
@@ -38,15 +43,14 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                 : (1u << 16);
-  const std::size_t m = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                 : (1u << 18);
-  const std::size_t rounds =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 20;
-  const std::size_t threads =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10)
-               : std::max(1u, std::thread::hardware_concurrency());
+  const auto args = arbor::bench::parse_count_args(
+      argc, argv,
+      {{"n"}, {"m", 0}, {"rounds"}, {"threads", 1, 1024}}, "");
+  const std::size_t n = args[0].value_or(1u << 16);
+  const std::size_t m = args[1].value_or(1u << 18);
+  const std::size_t rounds = args[2].value_or(20);
+  const std::size_t threads = args[3].value_or(
+      std::max(1u, std::thread::hardware_concurrency()));
 
   std::printf("engine_throughput: n=%zu m=%zu rounds=%zu threads=%zu\n", n, m,
               rounds, threads);

@@ -164,7 +164,7 @@ void Monitor::restore_families() {
 void Monitor::run_step(
     const engine::ProgramStep& step, std::size_t begin, std::size_t end,
     const std::function<engine::InboxView(std::size_t)>& inbox_of,
-    std::vector<engine::Outbox>& out, const engine::FetchContext& fetch) {
+    std::vector<engine::Outbox>& out) {
   ThreadMonitorScope scope(this);
   const bool probe =
       step.kind == engine::StepKind::kMachineIndependent && end - begin > 1;
@@ -178,7 +178,7 @@ void Monitor::run_step(
     for (std::size_t m = end; m-- > begin;) {
       hash_all(pre_);
       probe_out_[m].clear();
-      engine::Sender sender(m, capacity_, num_machines_, probe_out_[m], fetch);
+      engine::Sender sender(m, capacity_, num_machines_, probe_out_[m]);
       step.fn(m, inbox_of(m), sender);
       check_writes(pre_, m, step);
     }
@@ -191,7 +191,7 @@ void Monitor::run_step(
   for (std::size_t m = begin; m < end; ++m) {
     hash_all(pre_);
     out[m].clear();
-    engine::Sender sender(m, capacity_, num_machines_, out[m], fetch);
+    engine::Sender sender(m, capacity_, num_machines_, out[m]);
     step.fn(m, inbox_of(m), sender);
     check_writes(pre_, m, step);
     if (probe &&

@@ -114,28 +114,6 @@ engine::RoundProgram build_underdeclared(std::shared_ptr<SelfCheckState> st) {
   return program;
 }
 
-engine::RoundProgram build_stale_fetch_cache(
-    std::shared_ptr<SelfCheckState> st) {
-  engine::RoundProgram program;
-  program.barrier(
-      "check.stale_fetch_cache.step",
-      [st](std::size_t m, const engine::InboxView&, engine::Sender& send) {
-        const auto build = [st, m](std::vector<engine::Word>& out) {
-          out.push_back(st->slots[m]);
-        };
-        send.send_fetched(m, /*key=*/7, /*epoch=*/0, build);
-        // The violation: mutate the state the build reads WITHOUT bumping
-        // the epoch — the second fetch serves the stale cached payload,
-        // and checked execution's verifying rebuild must reject it.
-        st->slots[m] += 1;
-        send.send_fetched(m, /*key=*/7, /*epoch=*/0, build);
-      });
-  program.owned(slots_ownership(st));
-  program.cached_fetches();
-  program.exempt_cost();
-  return program;
-}
-
 void attach_spec(engine::RoundProgram& program, const char* name) {
   engine::RemoteSpec spec;
   spec.name = name;
@@ -166,12 +144,6 @@ engine::RoundProgram make_shared_accumulator_selfcheck(std::size_t machines) {
 engine::RoundProgram make_underdeclared_selfcheck(std::size_t machines) {
   engine::RoundProgram program = build_underdeclared(make_state(machines));
   attach_spec(program, "check.underdeclared");
-  return program;
-}
-
-engine::RoundProgram make_stale_fetch_cache_selfcheck(std::size_t machines) {
-  engine::RoundProgram program = build_stale_fetch_cache(make_state(machines));
-  attach_spec(program, "check.stale_fetch_cache");
   return program;
 }
 
@@ -222,13 +194,6 @@ void register_selfcheck_programs(net::Registry& registry) {
     auto st = make_state(in.machines);
     net::WorkerProgram out;
     out.program = build_underdeclared(st);
-    out.state = st;
-    return out;
-  });
-  registry.add("check.stale_fetch_cache", [](const net::ProgramInputs& in) {
-    auto st = make_state(in.machines);
-    net::WorkerProgram out;
-    out.program = build_stale_fetch_cache(st);
     out.state = st;
     return out;
   });

@@ -20,13 +20,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "engine/fetch_cache.hpp"
 #include "engine/types.hpp"
 #include "util/assert.hpp"
-#include "util/hashing.hpp"
 
 namespace arbor::engine {
 
@@ -57,12 +54,11 @@ struct Outbox {
 class Sender {
  public:
   Sender(std::size_t source, std::size_t capacity, std::size_t num_machines,
-         Outbox& out, FetchContext fetch = {})
+         Outbox& out)
       : source_(source),
         capacity_(capacity),
         num_machines_(num_machines),
-        out_(out),
-        fetch_(fetch) {}
+        out_(out) {}
 
   void send(std::size_t dst_machine, std::span<const Word> payload) {
     ARBOR_CHECK_MSG(dst_machine < num_machines_,
@@ -81,60 +77,6 @@ class Sender {
     send(dst_machine, std::span<const Word>(payload));
   }
 
-  /// Delegate-style memoized read (see engine/fetch_cache.hpp). Returns
-  /// the payload `build` produces for (key, epoch), serving it from the
-  /// per-run FetchCache when the program opted in and the epoch matches
-  /// the cached entry; with no cache wired (caching off, the A/B
-  /// baseline) the payload is rebuilt into thread-local scratch, so the
-  /// bytes a caller sees are identical either way. The span stays valid
-  /// until the next fetch() on this thread — use it before fetching
-  /// again. Under checked execution every hit re-runs `build` and
-  /// rejects the entry if the owning state changed without an epoch
-  /// bump.
-  template <typename BuildFn>
-  std::span<const Word> fetch(std::uint64_t key, std::uint64_t epoch,
-                              BuildFn&& build) {
-    if (fetch_.cache == nullptr) {
-      static thread_local std::vector<Word> scratch;
-      scratch.clear();
-      build(scratch);
-      return scratch;
-    }
-    FetchCache::Entry& e = fetch_.cache->entry(
-        source_, util::hash_combine(fetch_.step_salt, key));
-    if (e.valid && e.epoch == epoch) {
-      if (fetch_.verify) {
-        static thread_local std::vector<Word> rebuilt;
-        rebuilt.clear();
-        build(rebuilt);
-        ARBOR_CHECK_MSG(
-            rebuilt == e.words,
-            "checked execution: step \"" +
-                (fetch_.step_name ? *fetch_.step_name : std::string("?")) +
-                "\": machine " + std::to_string(source_) +
-                " reused a stale fetch-cache entry (epoch " +
-                std::to_string(epoch) +
-                "): the owning state changed but the epoch did not");
-      }
-      fetch_.cache->count_hit(source_);
-      return e.words;
-    }
-    e.words.clear();
-    build(e.words);
-    e.epoch = epoch;
-    e.valid = true;
-    return e.words;
-  }
-
-  /// fetch() + send(): ship a memoized payload. Message boundaries and
-  /// bytes are identical with the cache on or off — only the rebuild
-  /// work is saved.
-  template <typename BuildFn>
-  void send_fetched(std::size_t dst_machine, std::uint64_t key,
-                    std::uint64_t epoch, BuildFn&& build) {
-    send(dst_machine, fetch(key, epoch, std::forward<BuildFn>(build)));
-  }
-
   std::size_t words_sent() const noexcept { return words_sent_; }
   std::size_t source() const noexcept { return source_; }
 
@@ -144,7 +86,6 @@ class Sender {
   std::size_t num_machines_;
   std::size_t words_sent_ = 0;
   Outbox& out_;
-  FetchContext fetch_;
 };
 
 }  // namespace arbor::engine

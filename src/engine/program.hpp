@@ -160,13 +160,6 @@ struct RoundProgram {
   /// Reserved for programs whose traffic is intentionally unmodeled (the
   /// adversarial check.* self-checks); real protocols declare bounds.
   bool cost_exempt = false;
-  /// Serve the program's Sender::fetch()/send_fetched() payloads from the
-  /// executor's per-run FetchCache (engine/fetch_cache.hpp). Off, every
-  /// fetch rebuilds its payload — byte-identical messages either way, so
-  /// this is purely a performance opt-in. Drivers set it from
-  /// ClusterConfig::fetch_cache; worker-side factories from the matching
-  /// RemoteSpec scalar.
-  bool fetch_cache = false;
 
   RoundProgram& independent(StepFn fn) {
     steps.push_back({std::move(fn), StepKind::kMachineIndependent});
@@ -223,12 +216,6 @@ struct RoundProgram {
   /// Explicitly opt out of the CostModel requirement (see `cost_exempt`).
   RoundProgram& exempt_cost() {
     cost_exempt = true;
-    return *this;
-  }
-
-  /// Opt into the executor's per-run FetchCache (see `fetch_cache`).
-  RoundProgram& cached_fetches(bool on = true) {
-    fetch_cache = on;
     return *this;
   }
 

@@ -381,9 +381,8 @@ inline void merge_sorted_inbox(const InboxView& inbox, std::size_t width,
 /// searches gallop from the position the previous span established: a
 /// one-record slab whose bucket continues where the last span left off
 /// (the fine route of a wide cluster handles many such fragments) costs
-/// O(1) comparisons, not O(k) and not even O(log k) — this is what keeps
-/// the aggregated route ahead of the per-record one when slabs are far
-/// smaller than the bucket count.
+/// O(1) comparisons, not O(k) and not even O(log k), even when slabs are
+/// far smaller than the bucket count.
 template <typename SpanFn>
 inline void for_each_bucket_span(std::span<const Word> slab, std::size_t width,
                                  std::size_t key_words,
@@ -421,14 +420,10 @@ inline void for_each_bucket_span(std::span<const Word> slab, std::size_t width,
 }
 
 /// Bulk route of a key-sorted record slab: emit each non-empty bucket as
-/// ONE contiguous message to `dst_of(bucket)`. Message destinations,
-/// contents, and emission order are identical to the per-record
-/// upper_bound + per-destination append buffers this replaces (records
-/// keep slab order inside a bucket, buckets are emitted in ascending index
-/// order, empty buckets send nothing) — so the two route implementations
-/// are interchangeable mid-protocol; only the per-record binary searches
-/// and the intermediate buffer copy are gone. Records move exactly once,
-/// slab → outbox arena.
+/// ONE contiguous message to `dst_of(bucket)`. Records keep slab order
+/// inside a bucket, buckets are emitted in ascending index order, and
+/// empty buckets send nothing. Records move exactly once, slab → outbox
+/// arena — no per-record binary search and no intermediate buffer.
 template <typename DstFn>
 inline void send_records(Sender& send, std::span<const Word> slab,
                          std::size_t width, std::size_t key_words,

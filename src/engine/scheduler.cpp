@@ -74,11 +74,6 @@ ProgramStats Scheduler::run(RoundState& state, std::size_t capacity,
     monitor = std::make_unique<check::Monitor>(program, capacity,
                                                state.num_machines());
 
-  // Programs opt into the delegate-style read cache; entries never outlive
-  // the run that built them.
-  FetchCache* fetch_cache = program.fetch_cache ? &fetch_cache_ : nullptr;
-  if (fetch_cache) fetch_cache->reset(state.num_machines());
-
   trace::Tracer& tracer = trace::Tracer::global();
 
   ProgramStats stats;
@@ -89,7 +84,7 @@ ProgramStats Scheduler::run(RoundState& state, std::size_t capacity,
       const std::int64_t round_t0 = tracer.metrics_on() ? trace::now_ns() : 0;
       if (!computed_ahead) {
         trace::Span span = tracer.span("engine", "compute " + label);
-        compute(state, capacity, program.steps[i], monitor.get(), fetch_cache);
+        compute(state, capacity, program.steps[i], monitor.get());
       }
       computed_ahead = false;
       const ProgramStep* next =
@@ -144,7 +139,7 @@ ProgramStats Scheduler::run(RoundState& state, std::size_t capacity,
           // span, a barrier, then a compute span.
           trace::Span span =
               tracer.span("engine", "deliver+compute " + next->name);
-          deliver_and_compute(state, capacity, *next, fetch_cache);
+          deliver_and_compute(state, capacity, *next);
         }
         state.flip();  // the fused compute's bank becomes next round's front
         computed_ahead = true;
@@ -181,12 +176,6 @@ ProgramStats Scheduler::run(RoundState& state, std::size_t capacity,
     if (!more) break;
     if (stats.passes >= program.max_passes) break;
   }
-  if (fetch_cache && tracer.metrics_on()) {
-    const std::size_t hits = fetch_cache->total_hits();
-    if (hits > 0)
-      tracer.metrics().add("engine.fetch_cache_hits",
-                           static_cast<std::uint64_t>(hits));
-  }
   return stats;
 }
 
@@ -198,18 +187,15 @@ void Scheduler::run_parallel(std::size_t n, const ThreadPool::BlockFn& fn) {
 }
 
 void Scheduler::compute(RoundState& state, std::size_t capacity,
-                        const ProgramStep& step, check::Monitor* monitor,
-                        FetchCache* fetch_cache) {
+                        const ProgramStep& step, check::Monitor* monitor) {
   const std::size_t machines = state.num_machines();
   std::vector<Outbox>& out = state.front_outboxes();
-  const FetchContext fetch{fetch_cache, fetch_step_salt(step.name), &step.name,
-                           policy_.check};
   if (monitor) {
     // Checked execution: single-threaded by design, so contract violations
     // are deterministic and reproduce without a thread schedule.
     monitor->run_step(
         step, 0, machines,
-        [&state](std::size_t m) { return state.inbox(m); }, out, fetch);
+        [&state](std::size_t m) { return state.inbox(m); }, out);
     return;
   }
   trace::Tracer& tracer = trace::Tracer::global();
@@ -219,7 +205,7 @@ void Scheduler::compute(RoundState& state, std::size_t capacity,
     trace::Span span = tracer.span("engine", "block " + step.name);
     for (std::size_t m = begin; m < end; ++m) {
       out[m].clear();  // keeps arena capacity from previous rounds
-      Sender sender(m, capacity, machines, out[m], fetch);
+      Sender sender(m, capacity, machines, out[m]);
       step.fn(m, state.inbox(m), sender);
     }
   });
@@ -417,8 +403,7 @@ void Scheduler::deliver(RoundState& state) {
 }
 
 void Scheduler::deliver_and_compute(RoundState& state, std::size_t capacity,
-                                    const ProgramStep& next_step,
-                                    FetchCache* fetch_cache) {
+                                    const ProgramStep& next_step) {
   const std::size_t machines = state.num_machines();
   // The front bank is frozen (round r's routed outboxes); the fused compute
   // writes the back bank. Materialize the back bank on this thread before
@@ -426,8 +411,6 @@ void Scheduler::deliver_and_compute(RoundState& state, std::size_t capacity,
   const std::vector<Outbox>& cur = state.front_outboxes();
   std::vector<Outbox>& nxt = state.back_outboxes();
   state.scatter_active = false;  // flat inboxes become current again
-  const FetchContext fetch{fetch_cache, fetch_step_salt(next_step.name),
-                           &next_step.name, policy_.check};
   trace::Tracer& tracer = trace::Tracer::global();
   run_parallel(machines, [&](std::size_t begin, std::size_t end) {
     trace::Span span = tracer.span("engine", "block " + next_step.name);
@@ -446,7 +429,7 @@ void Scheduler::deliver_and_compute(RoundState& state, std::size_t capacity,
       // complete even though other machines' deliveries may still be in
       // flight (the machine-independent contract makes this sufficient).
       nxt[m].clear();
-      Sender sender(m, capacity, machines, nxt[m], fetch);
+      Sender sender(m, capacity, machines, nxt[m]);
       next_step.fn(m, InboxView(in), sender);
     }
   });

@@ -59,7 +59,6 @@
 #include <vector>
 
 #include "engine/execution_policy.hpp"
-#include "engine/fetch_cache.hpp"
 #include "engine/program.hpp"
 #include "engine/round_state.hpp"
 #include "engine/thread_pool.hpp"
@@ -101,11 +100,8 @@ class Scheduler {
   void run_parallel(std::size_t n, const ThreadPool::BlockFn& fn);
   /// `monitor` non-null routes the phase through checked execution
   /// (inline, single-threaded) instead of the parallel block loop.
-  /// `fetch_cache` non-null wires the per-run FetchCache into the step's
-  /// Senders (the program opted in via RoundProgram::fetch_cache).
   void compute(RoundState& state, std::size_t capacity,
-               const ProgramStep& step, check::Monitor* monitor,
-               FetchCache* fetch_cache);
+               const ProgramStep& step, check::Monitor* monitor);
   RoundStats route(RoundState& state, std::size_t capacity,
                    std::size_t round_index, const std::string& step_name);
   void deliver(RoundState& state);
@@ -131,8 +127,7 @@ class Scheduler {
   /// inboxes. Runs on every program exit path.
   void materialize_scatter(RoundState& state);
   void deliver_and_compute(RoundState& state, std::size_t capacity,
-                           const ProgramStep& next_step,
-                           FetchCache* fetch_cache);
+                           const ProgramStep& next_step);
 
   ExecutionPolicy policy_;
   ThreadPool* pool_;  // null => phases run inline
@@ -156,10 +151,6 @@ class Scheduler {
   // swapped into the state only after the caps validate, so a cap violation
   // leaves the previous round's inboxes untouched.
   std::vector<ScatterInbox> scatter_scratch_;
-  // Per-run delegate-style read cache (engine/fetch_cache.hpp); reset at
-  // the start of every program that opts in (RoundProgram::fetch_cache)
-  // and flushed into the engine.fetch_cache_hits metric at program end.
-  FetchCache fetch_cache_;
 };
 
 }  // namespace arbor::engine

@@ -27,11 +27,6 @@ struct PeelState {
   /// Layer the CURRENT pass stamps; advanced at the pass barrier, only
   /// when another pass actually runs.
   std::uint32_t round = 1;
-  /// Serve the per-vertex neighbor splits from the engine's FetchCache
-  /// (ClusterConfig::fetch_cache). Purely a speed knob: the split payload
-  /// is a pure function of the immutable adjacency, so messages and
-  /// decrements are bit-identical on or off.
-  bool fetch_cache = true;
   std::vector<std::size_t> degree;
   std::vector<std::uint32_t> layer;  ///< 0 = not peeled yet
   std::vector<std::vector<graph::VertexId>> peeled_prev;  ///< per machine
@@ -74,32 +69,10 @@ engine::RoundProgram make_peel_program(std::shared_ptr<PeelState> st) {
   program.barrier("peel.round", [st](std::size_t m, const auto& inbox,
                                      mpc::Sender& send) {
     const std::size_t machines = st->machines;
-    // Neighbor split of v as seen from its home machine m: [n_local,
-    // local neighbors..., remote neighbors...], each class in adjacency
-    // order. Built at peel time and served from the engine's FetchCache
-    // on the NEXT pass's decrement walk — the delegate-read pattern.
-    // Epoch 0 forever: the adjacency is immutable for the program's life,
-    // the same promise its absence from the ownership families records.
-    const auto split_of = [st, m](graph::VertexId v) {
-      return [st, m, v](std::vector<mpc::Word>& out) {
-        const std::span<const graph::VertexId> adj = st->neighbors(v);
-        out.push_back(0);
-        for (graph::VertexId w : adj)
-          if (st->machine_of(w) == m) {
-            out.push_back(w);
-            ++out[0];
-          }
-        for (graph::VertexId w : adj)
-          if (st->machine_of(w) != m) out.push_back(w);
-      };
-    };
     // Decrements from the previous pass: local neighbors of my peels...
     for (graph::VertexId v : st->peeled_prev[m]) {
-      const std::span<const mpc::Word> split =
-          send.fetch(v, /*epoch=*/0, split_of(v));
-      const auto n_local = static_cast<std::size_t>(split[0]);
-      for (std::size_t i = 1; i <= n_local; ++i) {
-        const auto w = static_cast<graph::VertexId>(split[i]);
+      for (graph::VertexId w : st->neighbors(v)) {
+        if (st->machine_of(w) != m) continue;
         if (st->layer[w] == 0) {
           ARBOR_CHECK(st->degree[w] > 0);
           --st->degree[w];
@@ -129,15 +102,10 @@ engine::RoundProgram make_peel_program(std::shared_ptr<PeelState> st) {
       if (st->layer[v] != 0 || st->degree[v] > st->threshold) continue;
       st->layer[v] = st->round;
       st->peeled_prev[m].push_back(v);
-      // The remote suffix of the split, bucketed by host machine — the
-      // same vertex sequence per destination as filtering the adjacency
-      // directly (classes preserve adjacency order).
-      const std::span<const mpc::Word> split =
-          send.fetch(v, /*epoch=*/0, split_of(v));
-      for (std::size_t i = 1 + static_cast<std::size_t>(split[0]);
-           i < split.size(); ++i) {
-        const auto w = static_cast<graph::VertexId>(split[i]);
-        outgoing[st->machine_of(w)].push_back(split[i]);
+      // Notify the hosts of v's remote neighbors, in adjacency order.
+      for (graph::VertexId w : st->neighbors(v)) {
+        const std::size_t host = st->machine_of(w);
+        if (host != m) outgoing[host].push_back(w);
       }
     }
     st->peeled_now[m] = st->peeled_prev[m].size();
@@ -163,7 +131,6 @@ engine::RoundProgram make_peel_program(std::shared_ptr<PeelState> st) {
       .elems("peeled_now", &st->peeled_now)
       .keep_alive(st);
   program.owned(std::move(own));
-  program.cached_fetches(st->fetch_cache);
 
   // A pass ships one word per cross-machine edge incident to that pass's
   // peels — graph-dependent, so only the model's S-cap applies. The pass
@@ -204,7 +171,6 @@ EmbeddedPeelingResult embedded_threshold_peeling(const graph::Graph& g,
   st->machines = machines;
   st->per_machine = (n + machines - 1) / std::max<std::size_t>(machines, 1);
   st->threshold = threshold;
-  st->fetch_cache = cluster.config().fetch_cache;
   st->graph = &g;
   st->degree.resize(n);
   for (graph::VertexId v = 0; v < n; ++v) st->degree[v] = g.degree(v);
@@ -252,8 +218,7 @@ EmbeddedPeelingResult embedded_threshold_peeling(const graph::Graph& g,
     engine::RemoteSpec spec;
     spec.name = "local.embedded_peeling";
     spec.scalars = {static_cast<mpc::Word>(n),
-                    static_cast<mpc::Word>(threshold),
-                    static_cast<mpc::Word>(st->fetch_cache ? 1 : 0)};
+                    static_cast<mpc::Word>(threshold)};
     // inputs[m]: adjacency of machine m's vertex range —
     //   [{len, neighbors...} per vertex]
     spec.inputs.resize(machines);
@@ -291,12 +256,11 @@ EmbeddedPeelingResult embedded_threshold_peeling(const graph::Graph& g,
 
 void register_embedded_peeling_program(net::Registry& registry) {
   registry.add("local.embedded_peeling", [](const net::ProgramInputs& in) {
-    ARBOR_CHECK_MSG(in.scalars.size() == 3,
-                    "local.embedded_peeling expects 3 scalars");
+    ARBOR_CHECK_MSG(in.scalars.size() == 2,
+                    "local.embedded_peeling expects 2 scalars");
     auto st = std::make_shared<PeelState>();
     st->n = static_cast<std::size_t>(in.scalars[0]);
     st->threshold = static_cast<std::size_t>(in.scalars[1]);
-    st->fetch_cache = in.scalars[2] != 0;
     st->machines = in.machines;
     st->per_machine =
         (st->n + in.machines - 1) / std::max<std::size_t>(in.machines, 1);

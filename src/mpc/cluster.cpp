@@ -68,8 +68,7 @@ Cluster::Cluster(ClusterConfig config, RoundLedger* ledger)
       owned_engine_(std::make_unique<engine::Engine>(config.execution)),
       engine_(owned_engine_.get()),
       state_(engine_->make_state(config.num_machines)) {
-  ARBOR_CHECK(config.num_machines > 0);
-  ARBOR_CHECK(config.words_per_machine > 0);
+  config.validate();
   arm_tracer(config);
   if (!config.transport.in_process()) {
     backend_ = net::make_multiprocess_backend(config);
@@ -83,8 +82,7 @@ Cluster::Cluster(ClusterConfig config, RoundLedger* ledger,
       ledger_(ledger),
       engine_(&deref_engine(engine)),
       state_(engine_->make_state(config.num_machines)) {
-  ARBOR_CHECK(config.num_machines > 0);
-  ARBOR_CHECK(config.words_per_machine > 0);
+  config.validate();
   arm_tracer(config);
 }
 

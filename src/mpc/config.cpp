@@ -1,5 +1,8 @@
 #include "mpc/config.hpp"
 
+#include <string>
+#include <utility>
+
 #include "util/env_knob.hpp"
 
 namespace arbor::mpc {
@@ -57,31 +60,19 @@ TransportConfig transport_env_default() {
   return value;
 }
 
-bool route_aggregation_env_default() {
-  static const bool value = [] {
-    const auto env = util::env_knob("ARBOR_ROUTE_AGGREGATION");
-    if (!env) return true;
-    return parse_bool_flag(*env, "ARBOR_ROUTE_AGGREGATION");
-  }();
-  return value;
-}
-
-bool merge_path_env_default() {
-  static const bool value = [] {
-    const auto env = util::env_knob("ARBOR_MERGE_PATH");
-    if (!env) return true;
-    return parse_bool_flag(*env, "ARBOR_MERGE_PATH");
-  }();
-  return value;
-}
-
-bool fetch_cache_env_default() {
-  static const bool value = [] {
-    const auto env = util::env_knob("ARBOR_FETCH_CACHE");
-    if (!env) return true;
-    return parse_bool_flag(*env, "ARBOR_FETCH_CACHE");
-  }();
-  return value;
+void ClusterConfig::validate() const {
+  ARBOR_CHECK_MSG(num_machines > 0,
+                  "ClusterConfig::num_machines must be positive");
+  ARBOR_CHECK_MSG(words_per_machine > 0,
+                  "ClusterConfig::words_per_machine must be positive");
+  const std::pair<bool, const char*> retired[] = {
+      {route_aggregation, "route_aggregation"},
+      {merge_path, "merge_path"},
+      {fetch_cache, "fetch_cache"},
+  };
+  for (const auto& [value, field] : retired)
+    ARBOR_CHECK_MSG(value, std::string("ClusterConfig::") + field +
+                               " is retired and accepts only true");
 }
 
 }  // namespace arbor::mpc

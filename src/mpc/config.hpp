@@ -83,25 +83,6 @@ bool distributed_level1_env_default();
 /// backend without touching every test's config literal.
 TransportConfig transport_env_default();
 
-/// Process-wide default for ClusterConfig::route_aggregation, read once
-/// from the ARBOR_ROUTE_AGGREGATION environment variable (strict boolean,
-/// see parse_bool_flag). Default ON; scripts/check.sh --bench-smoke runs
-/// the sort bench with the knob toggled both ways so the per-record
-/// fallback path stays exercised.
-bool route_aggregation_env_default();
-
-/// Process-wide default for ClusterConfig::merge_path, read once from the
-/// ARBOR_MERGE_PATH environment variable (strict boolean, see
-/// parse_bool_flag). Default ON; scripts/check.sh --bench-smoke runs the
-/// sort bench with the knob toggled both ways so the re-sort baseline
-/// stays exercised.
-bool merge_path_env_default();
-
-/// Process-wide default for ClusterConfig::fetch_cache, read once from the
-/// ARBOR_FETCH_CACHE environment variable (strict boolean, see
-/// parse_bool_flag). Default ON.
-bool fetch_cache_env_default();
-
 struct ClusterConfig {
   std::size_t num_machines = 0;
   std::size_t words_per_machine = 0;  ///< S
@@ -120,37 +101,11 @@ struct ClusterConfig {
   /// ARBOR_DISTRIBUTED_LEVEL1 environment override).
   bool distributed_level1 = distributed_level1_env_default();
 
-  /// Route the sample sorts' record-movement rounds through the bulk
-  /// engine::send_records path: each machine radix-partitions its
-  /// key-sorted slab against the splitter vector (one binary search per
-  /// splitter, not per record) and ships every bucket as one contiguous
-  /// arena span — one coalesced wire frame per (src,dst) on the net/
-  /// transport. Off selects the per-record upper_bound + append-buffer
-  /// route. Outputs, ledger totals, and traffic words are bit-identical
-  /// either way (tests/level0_programs_test.cpp); this is a pure speed
-  /// knob kept for A/B benches. Default on (or the ARBOR_ROUTE_AGGREGATION
-  /// environment override).
-  bool route_aggregation = route_aggregation_env_default();
-
-  /// Replace the sort pipeline's concat-then-re-sort sites (relay/root/
-  /// coordinator sample pools, the final bucket assembly) with the
-  /// engine's stable k-way merge of the per-source sorted runs the inbox
-  /// already delivers (engine::merge_sorted_runs). Ties resolve to the
-  /// earliest source run, which is exactly what std::stable_sort of the
-  /// concatenation preserved — outputs, fingerprints, and ledger totals
-  /// are bit-identical either way (tests/level0_programs_test.cpp); this
-  /// is a pure speed knob kept for A/B benches. Default on (or the
-  /// ARBOR_MERGE_PATH environment override).
-  bool merge_path = merge_path_env_default();
-
-  /// Serve repeated Sender::fetch()/send_fetched() payloads (peeling's
-  /// neighbor splits, broadcast fan-out slabs) from the executor's
-  /// per-run FetchCache instead of rebuilding them every pass
-  /// (engine/fetch_cache.hpp). Message bytes and boundaries are identical
-  /// with the cache on or off — a pure speed knob; checked execution
-  /// verifies every hit against a rebuild. Default on (or the
-  /// ARBOR_FETCH_CACHE environment override).
-  bool fetch_cache = fetch_cache_env_default();
+  /// Retired: each selected a deleted A/B path and only `true` is valid
+  /// (validate() rejects `false`, naming the field).
+  bool route_aggregation = true;
+  bool merge_path = true;
+  bool fetch_cache = true;
 
   /// Where this cluster's distributable RoundPrograms execute: in-process
   /// (default), or across worker runtimes behind the src/net/ transport
@@ -192,6 +147,11 @@ struct ClusterConfig {
   std::size_t global_words() const noexcept {
     return num_machines * words_per_machine;
   }
+
+  /// Reject a config no cluster can run: zero machines or zero words per
+  /// machine, or a retired field set to `false`. Throws InvariantError
+  /// naming the offending field.
+  void validate() const;
 };
 
 }  // namespace arbor::mpc

@@ -19,10 +19,8 @@ constexpr std::size_t kRecordWidth = 2;
 
 // Slab sizing for the internal sort cluster: enough machines that slabs
 // parallelize across the engine's workers, few enough that per-machine
-// sorts amortize the routing. There is no hard machine-count cap any
-// more: the splitter relay tree keeps every splitter round O(√p·s) per
-// machine, so wide clusters no longer pay the coordinator's quadratic
-// broadcast.
+// sorts amortize the routing. There is no hard machine-count cap: the
+// splitter relay tree keeps every splitter round O(√p·s) per machine.
 constexpr std::size_t kTargetRecordsPerMachine = 2048;
 
 // Splitter sample budget per machine (clamped to the slab size inside the
@@ -138,7 +136,7 @@ std::vector<std::size_t> unpack_order(const RecordSortResult& sorted,
 MpcContext::MpcContext(ClusterConfig config, RoundLedger* ledger,
                        engine::Engine* engine)
     : config_(config), ledger_(ledger), engine_(engine) {
-  ARBOR_CHECK(config.num_machines > 0 && config.words_per_machine > 0);
+  config.validate();
 }
 
 MpcContext::~MpcContext() = default;

@@ -17,39 +17,24 @@ namespace arbor::mpc {
 namespace {
 
 // Machine-local state of a sample sort. The word sort is the width-1
-// special case of the record sort, so one state serves all four programs
-// ({word, record} × {coordinator, tree}). One builder set produces the
-// program for both deployments: the driver's in-process run (state over
-// the full input) and a worker's block share (state holds only its
-// machines' slabs) — which is what makes the transport an execution
-// detail rather than a second protocol implementation.
+// special case of the record sort, so one state serves both programs. One
+// builder produces the program for both deployments: the driver's
+// in-process run (state over the full input) and a worker's block share
+// (state holds only its machines' slabs) — which is what makes the
+// transport an execution detail rather than a second protocol
+// implementation.
 struct SortState {
   std::vector<std::vector<Word>> slabs;   ///< inputs; key-sorted by step 1
   std::vector<std::vector<Word>> result;  ///< record sorts: final step slot m
-  /// Tree strategy only: machine m's own group's fine splitter keys,
-  /// parsed out of the down packet by the route step and consumed by the
-  /// placement step (machine-owned state handed between m's own steps —
-  /// allowed by the machine-independent contract).
+  /// Machine m's own group's fine splitter keys, parsed out of the down
+  /// packet by the route step and consumed by the placement step
+  /// (machine-owned state handed between m's own steps — allowed by the
+  /// machine-independent contract).
   std::vector<std::vector<Word>> fine;
   std::size_t machines = 0;
   std::size_t record_width = 1;
   std::size_t key_words = 1;
   std::size_t samples_per_machine = 0;
-  /// Route rounds ship whole buckets as contiguous spans via
-  /// engine::send_records (ClusterConfig::route_aggregation) instead of
-  /// the per-record upper_bound + append-buffer path. Same messages, same
-  /// ledger charges — only the copy count differs.
-  bool aggregate_routes = true;
-  /// Replace the concat-then-re-sort sites with engine::merge_sorted_inbox
-  /// (ClusterConfig::merge_path). The sample pools are ALWAYS mergeable —
-  /// every pool message is a sorted sample (sample_record_keys of a sorted
-  /// slab, or a re-sorted relay pool) — so those sites gate on merge_path
-  /// alone. The final bucket assembly is mergeable only when the route
-  /// rounds shipped contiguous sorted spans, so it gates on merge_path AND
-  /// aggregate_routes (the per-record path sends unsorted concatenations).
-  /// Bit-identical either way: delivery order is run order, and the merge
-  /// breaks ties to the earliest run exactly like the stable re-sort did.
-  bool merge_path = true;
 };
 
 // ---------------------------------------------------------- tree topology
@@ -87,27 +72,6 @@ struct SplitterTree {
   }
 };
 
-// Count of keys in a key-sorted arena comparing ≤ rec's key — the bucket
-// rule of both strategies (a key equal to a splitter goes to the bucket
-// above it, like std::upper_bound). Applying it to the boundary splitters
-// yields the destination group, to a group's interior splitters the
-// in-group offset: both levels count the same global splitter sequence,
-// so two-hop routing lands every record on exactly the machine the
-// one-hop coordinator rule would pick.
-std::size_t keys_at_most(const Word* keys, std::size_t num_keys,
-                         const Word* rec, std::size_t key_words) {
-  std::size_t lo = 0;
-  std::size_t hi = num_keys;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (engine::compare_keys(keys + mid * key_words, rec, key_words) <= 0)
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  return lo;
-}
-
 // p−1 splitter keys at the quantiles of a key-sorted pool (entries may
 // repeat when the pool is smaller than p−1; repeats only make some
 // buckets empty). Empty when the pool is empty or the cluster has one
@@ -126,67 +90,21 @@ std::vector<Word> pick_splitters(const std::vector<Word>& pool,
   return chosen;
 }
 
-std::vector<Word> pool_inbox(const engine::InboxView& inbox) {
-  std::vector<Word> pool;
-  pool.reserve(inbox.total_words());
-  for (const auto& msg : inbox) pool.insert(pool.end(), msg.begin(),
-                                            msg.end());
-  return pool;
-}
-
 // Key-sorted sample pool of an inbox. Every pool message is a sorted run
-// (an evenly-spaced sample of a sorted slab, or a relay's re-thinned
-// sorted pool), so the merge path k-way merges the runs in delivery order;
-// the baseline concatenates and stable-re-sorts, which yields the same
-// words (merge ties resolve to the earliest run — exactly what the stable
-// sort preserved).
-std::vector<Word> sorted_pool(const engine::InboxView& inbox, std::size_t kw,
-                              bool merge_path) {
-  if (merge_path) {
-    std::vector<Word> pool;
-    engine::merge_sorted_inbox(inbox, kw, kw, pool);
-    return pool;
-  }
-  std::vector<Word> pool = pool_inbox(inbox);
-  engine::stable_sort_records(pool, kw, kw);
+// (an evenly-spaced sample of a sorted slab, or a relay's thinned sorted
+// pool), so the pool is their k-way merge in delivery order.
+std::vector<Word> sorted_pool(const engine::InboxView& inbox, std::size_t kw) {
+  std::vector<Word> pool;
+  engine::merge_sorted_inbox(inbox, kw, kw, pool);
   return pool;
 }
 
-// Final compute-only round of the record sorts (either strategy): each
-// bucket machine assembles its routed records into its result slot, sorted
-// — inside a round so the engine spreads the final sorts across its
-// workers, and under the async scheduler overlapping the last route
-// round's delivery. Each step writes only its own preallocated result
-// slab, honouring the concurrency contract. Under merge_path AND
-// aggregate_routes the routed messages are contiguous sorted spans of
-// senders' key-sorted slabs, so the slab is a k-way merge instead of a
-// concat-and-re-sort; the per-record route ships unsorted concatenations,
-// so it always takes the re-sort.
-void append_bucket_sort_step(engine::RoundProgram& program, std::string name,
-                             std::shared_ptr<SortState> st) {
-  const std::size_t width = st->record_width;
-  const std::size_t kw = st->key_words;
-  program.independent(
-      std::move(name),
-      [st, width, kw](std::size_t m, const auto& inbox, Sender&) {
-        auto& slab = st->result[m];
-        if (st->merge_path && st->aggregate_routes) {
-          engine::merge_sorted_inbox(inbox, width, kw, slab);
-          return;
-        }
-        slab.reserve(inbox.total_words());
-        for (const auto& msg : inbox)
-          slab.insert(slab.end(), msg.begin(), msg.end());
-        engine::stable_sort_records(slab, width, kw);
-      });
-}
-
-// ------------------------------------------------- tree splitter program
+// ------------------------------------------------------- sort program
 //
 // Six communication rounds whose per-machine volume is O(√p·s·key_words)
 // words in every splitter round (s = samples per machine) and O(slab) in
-// the route rounds — the coordinator's Θ(p·s) pool and Θ(p²) broadcast
-// hot-spots never form, so the dataflow fits the model's S-cap at any p:
+// the route rounds — no machine ever pools all p·s samples, so the
+// dataflow fits the model's S-cap at any p:
 //
 //   up    leaves send clamped evenly-spaced samples to their relay
 //         (relay receives ≤ r·s keys);
@@ -202,15 +120,19 @@ void append_bucket_sort_step(engine::RoundProgram& program, std::string name,
 //   route the spread members place each received record on its final
 //         bucket machine (own group's fine splitters).
 //
-// A seventh, compute-only round (record sorts) key-sorts every bucket.
+// A seventh, compute-only round (record sorts) merges every bucket: the
+// routed messages are contiguous key-sorted spans of the senders' slabs,
+// so each bucket machine k-way merges its inbox into its preallocated
+// result slot — inside a round so the engine spreads the merges across
+// its workers.
 //
 // The explicit [n_coarse, n_fine] packet header keeps "no splitters"
 // (machines == 1, all-empty pool) a clean parseable message, and a relay
 // whose children had no samples still scatters/forwards clean headers —
 // the route rounds rely on the packet being present, never on an accident
 // of the protocol.
-engine::RoundProgram make_tree_sort_program(std::shared_ptr<SortState> st,
-                                            bool bucket_sort_round) {
+engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
+                                       bool bucket_sort_round) {
   const std::size_t machines = st->machines;
   const std::size_t width = st->record_width;
   const std::size_t kw = st->key_words;
@@ -240,7 +162,7 @@ engine::RoundProgram make_tree_sort_program(std::shared_ptr<SortState> st,
       "sample_sort.tree.up",
       [st, tree, kw](std::size_t m, const auto& inbox, Sender& send) {
         if (!tree.is_relay(m)) return;
-        const std::vector<Word> pool = sorted_pool(inbox, kw, st->merge_path);
+        const std::vector<Word> pool = sorted_pool(inbox, kw);
         const std::vector<Word> thinned = engine::sample_record_keys(
             pool, kw, kw, st->samples_per_machine);
         if (!thinned.empty()) send.send(0, thinned);
@@ -253,10 +175,9 @@ engine::RoundProgram make_tree_sort_program(std::shared_ptr<SortState> st,
   // group_begin(g) … group_end(g)−2: members(g)−1 keys).
   program.independent(
       "sample_sort.tree.pick",
-      [st, tree, machines, kw](std::size_t m, const auto& inbox,
-                               Sender& send) {
+      [tree, machines, kw](std::size_t m, const auto& inbox, Sender& send) {
         if (m != 0) return;
-        const std::vector<Word> pool = sorted_pool(inbox, kw, st->merge_path);
+        const std::vector<Word> pool = sorted_pool(inbox, kw);
         const std::vector<Word> chosen =
             pick_splitters(pool, machines, kw);
         for (std::size_t g = 0; g < tree.groups; ++g) {
@@ -323,178 +244,49 @@ engine::RoundProgram make_tree_sort_program(std::shared_ptr<SortState> st,
         st->fine[m].assign(packet.begin() + 2 + n_coarse * kw,
                            packet.end());
 
-        const auto& slab = st->slabs[m];
-        const auto spread_member = [&tree, m](std::size_t g) {
-          return tree.group_begin(g) + (m % tree.members(g));
-        };
-        if (st->aggregate_routes) {
-          // The slab is key-sorted (round 1), so each destination group's
-          // records are one contiguous span: partition once against the
-          // boundary splitters and ship bucket g as a single message.
-          engine::send_records(send, std::span<const Word>(slab), width, kw,
-                               std::span<const Word>(coarse, n_coarse * kw),
-                               spread_member);
-          return;
-        }
-        const std::size_t records = slab.size() / width;
-        // At most one destination per group (the spread member), so the
-        // buffers are G-wide, not p-wide — wide clusters stay linear.
-        std::vector<std::vector<Word>> outgoing(tree.groups);
-        for (std::size_t i = 0; i < records; ++i) {
-          const Word* rec = slab.data() + i * width;
-          const std::size_t g = keys_at_most(coarse, n_coarse, rec, kw);
-          outgoing[g].insert(outgoing[g].end(), rec, rec + width);
-        }
-        for (std::size_t g = 0; g < tree.groups; ++g)
-          if (!outgoing[g].empty()) send.send(spread_member(g), outgoing[g]);
+        // The slab is key-sorted (round 1), so each destination group's
+        // records are one contiguous span: partition once against the
+        // boundary splitters and ship bucket g as a single message.
+        engine::send_records(send, std::span<const Word>(st->slabs[m]), width,
+                             kw, std::span<const Word>(coarse, n_coarse * kw),
+                             [&tree, m](std::size_t g) {
+                               return tree.group_begin(g) +
+                                      (m % tree.members(g));
+                             });
       });
 
   // Round 6 — place every received record on its final bucket machine
   // using the group's fine splitters (final machine = group base + count
-  // of fine splitters ≤ key). Records pool per destination across the
-  // inbox in delivery order (source asc, send order), so the final
-  // buckets' contents are deterministic in every mode.
+  // of fine splitters ≤ key). Each incoming message is a contiguous bucket
+  // of some sender's key-sorted slab (round 5), so it splits into spans
+  // against the fine splitters the same way a whole slab would; each span
+  // ships directly as one message (slab → outbox, no intermediate
+  // buffer). Spans go out in inbox delivery order (source asc, send
+  // order), so the final buckets' contents are deterministic in every
+  // mode.
   program.independent(
       "sample_sort.tree.route",
       [st, tree, width, kw](std::size_t m, const auto& inbox,
                             Sender& send) {
-        const std::vector<Word>& fine = st->fine[m];
-        const std::size_t n_fine = fine.size() / kw;
-        const std::size_t g = tree.group_of(m);
-        const std::size_t base = tree.group_begin(g);
-        if (st->aggregate_routes) {
-          // Each incoming message is a contiguous bucket of some sender's
-          // key-sorted slab (round 5), so it splits into spans against the
-          // fine splitters the same way a whole slab would; each span ships
-          // directly as one message (slab → outbox, no intermediate
-          // buffer). Message boundaries differ from the per-record path's
-          // one-frame-per-bucket shape, but each bucket machine still
-          // receives ITS records from any given sender in that sender's
-          // inbox order — every bucket is a distinct destination, so
-          // filtering a sender's emission sequence down to one receiver
-          // yields the same record sequence either way, and caps and
-          // ledger totals count payload words only.
-          for (const auto& msg : inbox)
-            engine::send_records(send, msg.span(), width, kw,
-                                 std::span<const Word>(fine),
-                                 [base](std::size_t local) {
-                                   return base + local;
-                                 });
-          return;
-        }
-        // Placement is intra-group: buffers are members(g)-wide.
-        std::vector<std::vector<Word>> outgoing(tree.members(g));
-        for (const auto& msg : inbox) {
-          const std::span<const Word> span = msg.span();
-          const std::size_t records = span.size() / width;
-          for (std::size_t i = 0; i < records; ++i) {
-            const Word* rec = span.data() + i * width;
-            const std::size_t local =
-                keys_at_most(fine.data(), n_fine, rec, kw);
-            outgoing[local].insert(outgoing[local].end(), rec,
-                                   rec + width);
-          }
-        }
-        for (std::size_t local = 0; local < outgoing.size(); ++local)
-          if (!outgoing[local].empty())
-            send.send(base + local, outgoing[local]);
+        const std::size_t base = tree.group_begin(tree.group_of(m));
+        for (const auto& msg : inbox)
+          engine::send_records(send, msg.span(), width, kw,
+                               std::span<const Word>(st->fine[m]),
+                               [base](std::size_t local) {
+                                 return base + local;
+                               });
       });
 
-  // Round 7 (record sorts only): the parallel bucket sorts. The word sort
+  // Round 7 (record sorts only): the parallel bucket merges. The word sort
   // skips this: its buckets stay in the inboxes, where the driver reads
-  // them (the same contract as the coordinator program).
+  // them.
   if (bucket_sort_round)
-    append_bucket_sort_step(program, "sample_sort.tree.sort", st);
+    program.independent(
+        "sample_sort.tree.sort",
+        [st, width, kw](std::size_t m, const auto& inbox, Sender&) {
+          engine::merge_sorted_inbox(inbox, width, kw, st->result[m]);
+        });
 
-  return program;
-}
-
-// ------------------------------------------- coordinator splitter program
-//
-// The legacy all-to-one pattern, kept as the A/B baseline: every machine
-// sends its samples to machine 0, which picks and broadcasts all p−1
-// splitters; one route round. The pooled sample is Θ(p·s) at the
-// coordinator and the broadcast Θ(p²) total, so this shape needs
-// p·(s+1)·key_words ≤ S — p ≤ √S machines.
-engine::RoundProgram make_coordinator_sort_program(
-    std::shared_ptr<SortState> st, bool bucket_sort_round) {
-  const std::size_t machines = st->machines;
-  const std::size_t width = st->record_width;
-  const std::size_t kw = st->key_words;
-  engine::RoundProgram program;
-
-  // Step 1: each machine key-sorts its slab and sends an evenly-spaced,
-  // clamped sample of key prefixes to the coordinator.
-  program.independent(
-      "sample_sort.central.sample",
-      [st, width, kw](std::size_t m, const auto&, Sender& send) {
-        engine::stable_sort_records(st->slabs[m], width, kw);
-        send.send(0, engine::sample_record_keys(st->slabs[m], width, kw,
-                                                st->samples_per_machine));
-      });
-
-  // Step 2: coordinator pools the sampled keys, picks p−1 splitter keys at
-  // the sample quantiles, and broadcasts them. The broadcast happens even
-  // when the splitter set is empty — a single-machine cluster needs no
-  // splitters, and an all-empty pool has none to offer — so the routing
-  // round can rely on the message being present rather than on an
-  // accident of the protocol.
-  program.independent(
-      "sample_sort.central.splitters",
-      [st, machines, kw](std::size_t m, const auto& inbox, Sender& send) {
-        if (m != 0) return;
-        const std::vector<Word> pool = sorted_pool(inbox, kw, st->merge_path);
-        const std::vector<Word> chosen =
-            pick_splitters(pool, machines, kw);
-        for (std::size_t dst = 0; dst < machines; ++dst)
-          send.send(dst, chosen);
-      });
-
-  // Step 3: route every record to its bucket machine — the count of
-  // splitter keys ≤ key(r); an empty splitter set routes everything to
-  // machine 0.
-  program.independent(
-      "sample_sort.central.route",
-      [st, machines, width, kw](std::size_t m, const auto& inbox,
-                                Sender& send) {
-        ARBOR_CHECK_MSG(!inbox.empty(), "splitter broadcast missing");
-        const std::span<const Word> split = inbox.front().span();
-        const std::size_t num_split = split.size() / kw;
-        const auto& slab = st->slabs[m];
-        if (st->aggregate_routes) {
-          // The slab is key-sorted (step 1): bucket dst is one contiguous
-          // span, shipped whole. Empty splitter set → everything lands in
-          // bucket 0, exactly like the per-record rule.
-          engine::send_records(send, std::span<const Word>(slab), width, kw,
-                               split, [](std::size_t dst) { return dst; });
-          return;
-        }
-        const std::size_t records = slab.size() / width;
-        std::vector<std::vector<Word>> outgoing(machines);
-        for (std::size_t i = 0; i < records; ++i) {
-          const Word* rec = slab.data() + i * width;
-          const std::size_t dst =
-              keys_at_most(split.data(), num_split, rec, kw);
-          outgoing[dst].insert(outgoing[dst].end(), rec, rec + width);
-        }
-        for (std::size_t dst = 0; dst < machines; ++dst)
-          if (!outgoing[dst].empty()) send.send(dst, outgoing[dst]);
-      });
-
-  // Step 4 (record sorts only): the parallel bucket sorts, as in the tree.
-  if (bucket_sort_round)
-    append_bucket_sort_step(program, "sample_sort.central.sort", st);
-
-  return program;
-}
-
-engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
-                                       SplitterStrategy strategy,
-                                       bool bucket_sort_round) {
-  engine::RoundProgram program =
-      strategy == SplitterStrategy::kTree
-          ? make_tree_sort_program(st, bucket_sort_round)
-          : make_coordinator_sort_program(st, bucket_sort_round);
   // Everything the steps mutate is machine-sliced: slabs[m] (sorted in
   // place by the sample round), fine[m] (parsed splitters handed between
   // m's own steps), result[m] (the bucket sort's output slot).
@@ -511,50 +303,29 @@ engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
   // bounded only by the machine capacity S (kWordsCapacity resolves to S
   // at audit time); bucket-sort rounds are compute-only and must move
   // exactly zero words.
-  const std::size_t p = st->machines;
   const std::size_t s = st->samples_per_machine;
-  const std::size_t kw = st->key_words;
+  const std::size_t r = tree.group_size;
+  const std::size_t G = tree.groups;
+  // Pick/down packet: [n_coarse, n_fine | keys] — at most the G−1 group
+  // boundaries plus a group's r−1 interior splitters.
+  const std::size_t packet = 2 + (G + r - 2) * kw;
   auto cost = std::make_shared<obs::CostModel>(
       bucket_sort_round ? "mpc.sample_sort_records" : "mpc.sample_sort");
-  if (strategy == SplitterStrategy::kTree) {
-    const SplitterTree tree = SplitterTree::over(p);
-    const std::size_t r = tree.group_size;
-    const std::size_t G = tree.groups;
-    // Pick/down packet: [n_coarse, n_fine | keys] — at most the G−1 group
-    // boundaries plus a group's r−1 interior splitters.
-    const std::size_t packet = 2 + (G + r - 2) * kw;
-    cost->bound("sample_sort.tree.up", r * s * kw, 2,
-                "r*s*kw (r = ceil(sqrt(p)) members' samples pooled at a "
-                "relay; the thinned relay->root hop is smaller)");
-    cost->bound("sample_sort.tree.pick", G * packet, 1,
-                "G*(2+(G+r-2)*kw) (root ships one boundary+interior packet "
-                "per relay)");
-    cost->bound("sample_sort.tree.down", r * packet, 1,
-                "r*(2+(G+r-2)*kw) (a relay fans its packet to <= r members)");
-    cost->bound("sample_sort.tree.route", obs::kWordsCapacity, 2,
-                "<= S (the data movement rounds: route + placement)");
-    if (bucket_sort_round)
-      cost->bound("sample_sort.tree.sort", 0, 1,
-                  "0 (machine-local bucket sort; moves no words)");
-  } else {
-    cost->bound("sample_sort.central.sample", p * s * kw, 1,
-                "p*s*kw (every machine's sample pooled at the coordinator)");
-    cost->bound("sample_sort.central.splitters", p * (p - 1) * kw, 1,
-                "p*(p-1)*kw (coordinator broadcasts p-1 splitter keys)");
-    cost->bound("sample_sort.central.route", obs::kWordsCapacity, 1,
-                "<= S (the data movement round)");
-    if (bucket_sort_round)
-      cost->bound("sample_sort.central.sort", 0, 1,
-                  "0 (machine-local bucket sort; moves no words)");
-  }
+  cost->bound("sample_sort.tree.up", r * s * kw, 2,
+              "r*s*kw (r = ceil(sqrt(p)) members' samples pooled at a "
+              "relay; the thinned relay->root hop is smaller)");
+  cost->bound("sample_sort.tree.pick", G * packet, 1,
+              "G*(2+(G+r-2)*kw) (root ships one boundary+interior packet "
+              "per relay)");
+  cost->bound("sample_sort.tree.down", r * packet, 1,
+              "r*(2+(G+r-2)*kw) (a relay fans its packet to <= r members)");
+  cost->bound("sample_sort.tree.route", obs::kWordsCapacity, 2,
+              "<= S (the data movement rounds: route + placement)");
+  if (bucket_sort_round)
+    cost->bound("sample_sort.tree.sort", 0, 1,
+                "0 (machine-local bucket merge; moves no words)");
   program.costed(std::move(cost));
   return program;
-}
-
-SplitterStrategy strategy_from_scalar(Word scalar) {
-  ARBOR_CHECK_MSG(scalar <= 1, "unknown splitter strategy scalar " +
-                                   std::to_string(scalar));
-  return static_cast<SplitterStrategy>(scalar);
 }
 
 }  // namespace
@@ -565,8 +336,7 @@ std::size_t sample_sort_tree_fanout(std::size_t machines) {
 
 SampleSortResult sample_sort(Cluster& cluster,
                              const std::vector<std::vector<Word>>& input,
-                             std::size_t samples_per_machine,
-                             SplitterStrategy strategy) {
+                             std::size_t samples_per_machine) {
   trace::Span stage_span = trace::Tracer::global().span("mpc", "sample_sort");
   const std::size_t machines = cluster.num_machines();
   ARBOR_CHECK(input.size() == machines);
@@ -578,18 +348,13 @@ SampleSortResult sample_sort(Cluster& cluster,
   st->slabs = input;
   st->machines = machines;
   st->samples_per_machine = samples_per_machine;
-  st->aggregate_routes = cluster.config().route_aggregation;
-  st->merge_path = cluster.config().merge_path;
 
   engine::RoundProgram program =
-      make_sort_program(st, strategy, /*bucket_sort_round=*/false);
+      make_sort_program(st, /*bucket_sort_round=*/false);
   if (cluster.distributed()) {
     engine::RemoteSpec spec;
     spec.name = "mpc.sample_sort";
-    spec.scalars = {static_cast<Word>(samples_per_machine),
-                    static_cast<Word>(strategy),
-                    static_cast<Word>(st->aggregate_routes ? 1 : 0),
-                    static_cast<Word>(st->merge_path ? 1 : 0)};
+    spec.scalars = {static_cast<Word>(samples_per_machine)};
     spec.inputs = input;
     program.distributable(std::move(spec));
   }
@@ -600,18 +365,10 @@ SampleSortResult sample_sort(Cluster& cluster,
   // under every backend (the transport syncs final inboxes back).
   SampleSortResult result;
   result.slabs.resize(machines);
-  for (std::size_t m = 0; m < machines; ++m) {
-    // Same gate as the bucket-sort round: aggregated route messages are
-    // sorted word spans, mergeable; per-record messages are not. Words
-    // have a total order, so merge vs. sort is trivially bit-identical.
-    if (st->merge_path && st->aggregate_routes) {
-      engine::merge_sorted_inbox(cluster.inbox(m), 1, 1, result.slabs[m]);
-      continue;
-    }
-    for (const auto& msg : cluster.inbox(m))
-      result.slabs[m].insert(result.slabs[m].end(), msg.begin(), msg.end());
-    std::sort(result.slabs[m].begin(), result.slabs[m].end());
-  }
+  // Every routed message is a sorted word span, so each bucket is the
+  // k-way merge of its inbox.
+  for (std::size_t m = 0; m < machines; ++m)
+    engine::merge_sorted_inbox(cluster.inbox(m), 1, 1, result.slabs[m]);
   result.rounds = cluster.rounds_executed() - start_rounds;
   return result;
 }
@@ -619,7 +376,7 @@ SampleSortResult sample_sort(Cluster& cluster,
 RecordSortResult sample_sort_records(
     Cluster& cluster, std::vector<std::vector<Word>> input,
     std::size_t record_width, std::size_t key_words,
-    std::size_t samples_per_machine, SplitterStrategy strategy) {
+    std::size_t samples_per_machine) {
   const std::size_t machines = cluster.num_machines();
   ARBOR_CHECK(input.size() == machines);
   ARBOR_CHECK(record_width > 0);
@@ -636,21 +393,16 @@ RecordSortResult sample_sort_records(
   st->record_width = record_width;
   st->key_words = key_words;
   st->samples_per_machine = samples_per_machine;
-  st->aggregate_routes = cluster.config().route_aggregation;
-  st->merge_path = cluster.config().merge_path;
   st->result.resize(machines);
 
   engine::RoundProgram program =
-      make_sort_program(st, strategy, /*bucket_sort_round=*/true);
+      make_sort_program(st, /*bucket_sort_round=*/true);
   if (cluster.distributed()) {
     engine::RemoteSpec spec;
     spec.name = "mpc.sample_sort_records";
     spec.scalars = {static_cast<Word>(record_width),
                     static_cast<Word>(key_words),
-                    static_cast<Word>(samples_per_machine),
-                    static_cast<Word>(strategy),
-                    static_cast<Word>(st->aggregate_routes ? 1 : 0),
-                    static_cast<Word>(st->merge_path ? 1 : 0)};
+                    static_cast<Word>(samples_per_machine)};
     spec.inputs = input;  // copy: the state takes the originals below
     spec.has_output = true;
     spec.output_sink = [st](std::size_t m, std::span<const Word> slab) {
@@ -670,33 +422,28 @@ RecordSortResult sample_sort_records(
 
 void register_sample_sort_programs(net::Registry& registry) {
   registry.add("mpc.sample_sort", [](const net::ProgramInputs& in) {
-    ARBOR_CHECK_MSG(in.scalars.size() == 4,
-                    "mpc.sample_sort expects 4 scalars");
+    ARBOR_CHECK_MSG(in.scalars.size() == 1,
+                    "mpc.sample_sort expects 1 scalar");
     auto st = std::make_shared<SortState>();
     st->machines = in.machines;
     st->samples_per_machine = static_cast<std::size_t>(in.scalars[0]);
-    st->aggregate_routes = in.scalars[2] != 0;
-    st->merge_path = in.scalars[3] != 0;
     st->slabs.resize(in.machines);
     for (std::size_t m = in.block_begin; m < in.block_end; ++m)
       st->slabs[m] = in.inputs[m - in.block_begin];
     net::WorkerProgram out;
-    out.program = make_sort_program(st, strategy_from_scalar(in.scalars[1]),
-                                    /*bucket_sort_round=*/false);
+    out.program = make_sort_program(st, /*bucket_sort_round=*/false);
     out.state = st;
     return out;
   });
 
   registry.add("mpc.sample_sort_records", [](const net::ProgramInputs& in) {
-    ARBOR_CHECK_MSG(in.scalars.size() == 6,
-                    "mpc.sample_sort_records expects 6 scalars");
+    ARBOR_CHECK_MSG(in.scalars.size() == 3,
+                    "mpc.sample_sort_records expects 3 scalars");
     auto st = std::make_shared<SortState>();
     st->machines = in.machines;
     st->record_width = static_cast<std::size_t>(in.scalars[0]);
     st->key_words = static_cast<std::size_t>(in.scalars[1]);
     st->samples_per_machine = static_cast<std::size_t>(in.scalars[2]);
-    st->aggregate_routes = in.scalars[4] != 0;
-    st->merge_path = in.scalars[5] != 0;
     ARBOR_CHECK(st->record_width > 0 && st->key_words > 0 &&
                 st->key_words <= st->record_width);
     st->slabs.resize(in.machines);
@@ -706,8 +453,7 @@ void register_sample_sort_programs(net::Registry& registry) {
       engine::record_count(st->slabs[m].size(), st->record_width);
     }
     net::WorkerProgram out;
-    out.program = make_sort_program(st, strategy_from_scalar(in.scalars[3]),
-                                    /*bucket_sort_round=*/true);
+    out.program = make_sort_program(st, /*bucket_sort_round=*/true);
     out.state = st;
     out.output = [st](std::size_t m) { return st->result[m]; };
     return out;

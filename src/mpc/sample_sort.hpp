@@ -9,46 +9,36 @@
 // round counts against MpcContext::sort_rounds and grounds the per-round
 // traffic against the model's S-cap).
 //
-// Two splitter strategies share the rest of the dataflow:
+// Splitters are agreed on along a ⌈√p⌉-ary splitter relay tree.
+// Machines send clamped, evenly-spaced samples up a height-2 fan-in tree
+// (each relay pools its ≤ ⌈√p⌉ children's samples and re-samples the pool
+// down to its own sample budget); the root picks the p−1 splitters and
+// relays them back down the same tree, giving each relay only the G−1
+// group-boundary splitters plus its own group's in-group splitters.
+// Records then route in two hops, each shipping contiguous key-sorted
+// spans: by boundary splitters to a spread member of the destination
+// group, then by that group's fine splitters to the final bucket machine,
+// which k-way merges what it receives. Per-machine send/receive volume of
+// every splitter round is O(√p·s) words (s = samples per machine), so the
+// dataflow fits the model's S-cap at any machine count — no machine ever
+// pools all p·s samples. Rounds: 6 for the word sort (up, up, pick, down,
+// route, route), 7 for the record sort (+ the compute-only bucket merge).
 //
-//  * SplitterStrategy::kTree (default) — the ⌈√p⌉-ary splitter relay tree.
-//    Machines send clamped, evenly-spaced samples up a height-2 fan-in
-//    tree (each relay pools its ≤ ⌈√p⌉ children's samples and re-samples
-//    the pool down to its own sample budget); the root picks the p−1
-//    splitters and relays them back down the same tree, giving each relay
-//    only the G−1 group-boundary splitters plus its own group's in-group
-//    splitters. Records then route in two hops: by boundary splitters to a
-//    spread member of the destination group, then by that group's fine
-//    splitters to the final bucket machine. Per-machine send/receive
-//    volume of every splitter round is O(√p·s) words (s = samples per
-//    machine), so the dataflow fits the model's S-cap at any machine
-//    count. Rounds: 6 for the word sort (up, up, pick, down, route,
-//    route), 7 for the record sort (+ the compute-only bucket sort).
-//
-//  * SplitterStrategy::kCoordinator — the legacy all-to-one pattern:
-//    samples pool at machine 0, which broadcasts all p−1 splitters to
-//    every machine (Θ(p·s) receive at the coordinator, Θ(p²) broadcast
-//    send), then a single route round. Needs p·(s+1)·key_words ≤ S, i.e.
-//    p ≤ √S — kept as the A/B baseline for the benches and the small-p
-//    framework tests. Rounds: 3 (word) / 4 (records).
-//
-// Protocol notes (both strategies):
+// Protocol notes:
 //  * samples are clamped to the slab size, so a machine never repeats an
 //    index (splitter quality on tiny skewed slabs);
 //  * splitter messages are ALWAYS present, even when the splitter set is
-//    empty (machines == 1, or an all-empty input pool): the tree's down
-//    packets carry an explicit [n_coarse, n_fine] header and the
-//    coordinator broadcasts an explicit empty payload, so the routing
-//    rounds rely on the message being present, never on an accident of
-//    the protocol. A relay with no children's samples forwards clean
-//    headers, not zero-width frames;
+//    empty (machines == 1, or an all-empty input pool): the down packets
+//    carry an explicit [n_coarse, n_fine] header, so the routing rounds
+//    rely on the message being present, never on an accident of the
+//    protocol. A relay with no children's samples forwards clean headers,
+//    not zero-width frames;
 //  * `sample_sort_records` generalizes the dataflow from single Words to
 //    fixed-width multi-word records ordered by a key prefix (see
 //    src/mpc/README.md for the wire format). `sample_sort` is the
 //    single-word special case, kept for the Level-0 framework tests.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "mpc/cluster.hpp"
@@ -59,18 +49,11 @@ class Registry;
 
 namespace arbor::mpc {
 
-/// How the sort agrees on its p−1 splitters (see file comment).
-enum class SplitterStrategy : std::uint8_t {
-  kCoordinator = 0,  ///< all-to-one pool + full broadcast; needs p ≤ √S
-  kTree = 1,         ///< ⌈√p⌉-ary relay tree; O(√p·s) per machine at any p
-};
-
 struct SampleSortResult {
   /// Sorted keys as held by each machine after the sort (concatenation in
-  /// machine order is globally sorted). Which keys land on which machine
-  /// depends on the splitter strategy; the concatenation does not.
+  /// machine order is globally sorted).
   std::vector<std::vector<Word>> slabs;
-  std::size_t rounds = 0;  ///< 6 (tree) or 3 (coordinator)
+  std::size_t rounds = 0;  ///< 6
 };
 
 /// Sort the union of `input[m]` (machine m's initial slab). Every slab and
@@ -81,9 +64,7 @@ struct SampleSortResult {
 /// splitters — fewer still sorts correctly, with coarser buckets.
 SampleSortResult sample_sort(Cluster& cluster,
                              const std::vector<std::vector<Word>>& input,
-                             std::size_t samples_per_machine = 8,
-                             SplitterStrategy strategy =
-                                 SplitterStrategy::kTree);
+                             std::size_t samples_per_machine = 8);
 
 /// Sort fixed-width multi-word records by their leading key words.
 ///
@@ -93,16 +74,14 @@ SampleSortResult sample_sort(Cluster& cluster,
 /// whole record is the key"). After the sort each machine holds a
 /// key-sorted slab and the concatenation in machine order is globally
 /// key-sorted. With a full-record key and distinct records the
-/// concatenation is the unique total order — identical under either
-/// splitter strategy (this is how MpcContext gets bit-identical stable
-/// sorts: the original index rides along as the last key word). With a
-/// partial key, tie order within a bucket is deterministic (fixed by the
-/// delivery order source-asc, send-order) but depends on the strategy's
-/// routing shape and is not stable across the whole input.
+/// concatenation is the unique total order (this is how MpcContext gets
+/// bit-identical stable sorts: the original index rides along as the last
+/// key word). With a partial key, tie order within a bucket is
+/// deterministic (fixed by the delivery order source-asc, send-order) but
+/// depends on the routing shape and is not stable across the whole input.
 struct RecordSortResult {
   std::vector<std::vector<Word>> slabs;  ///< key-sorted record arenas
-  std::size_t rounds = 0;  ///< 7 (tree) or 4 (coordinator), incl. the
-                           ///< compute-only bucket-sort round
+  std::size_t rounds = 0;  ///< 7, incl. the compute-only bucket merge
 };
 
 /// `input` is taken by value: callers whose slabs are throwaway (the
@@ -110,8 +89,7 @@ struct RecordSortResult {
 RecordSortResult sample_sort_records(
     Cluster& cluster, std::vector<std::vector<Word>> input,
     std::size_t record_width, std::size_t key_words = 0,
-    std::size_t samples_per_machine = 8,
-    SplitterStrategy strategy = SplitterStrategy::kTree);
+    std::size_t samples_per_machine = 8);
 
 /// Relay-tree fanout for a `machines`-wide sort: r = ⌈√machines⌉, the
 /// group size of the splitter tree. Exposed so callers sizing a sort
@@ -121,9 +99,8 @@ RecordSortResult sample_sort_records(
 std::size_t sample_sort_tree_fanout(std::size_t machines);
 
 /// Worker-side factories ("mpc.sample_sort", "mpc.sample_sort_records")
-/// for the multi-process backend (net::Registry::builtin() calls this).
-/// The splitter strategy travels as a RemoteSpec scalar, so either
-/// strategy runs bit-identically across {in-process, loopback, tcp}.
+/// for the multi-process backend (net::Registry::builtin() calls this);
+/// the sort runs bit-identically across {in-process, loopback, tcp}.
 void register_sample_sort_programs(net::Registry& registry);
 
 }  // namespace arbor::mpc

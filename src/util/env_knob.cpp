@@ -1,7 +1,10 @@
 #include "util/env_knob.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <string>
+#include <system_error>
 
 #include "util/assert.hpp"
 
@@ -37,13 +40,24 @@ std::size_t parse_count_knob(std::string_view digits, std::string_view item,
   for (char c : digits) {
     if (c < '0' || c > '9')
       reject_knob(what, value, std::string(item) + " is not a number");
-    n = n * 10 + static_cast<std::size_t>(c - '0');
-    if (n > max) reject_knob(what, value, std::string(item) + " out of range");
+    const auto digit = static_cast<std::size_t>(c - '0');
+    if (digit > max || n > (max - digit) / 10)
+      reject_knob(what, value, std::string(item) + " out of range");
+    n = n * 10 + digit;
   }
   if (n < min)
     reject_knob(what, value,
                 std::string(item) + " must be >= " + std::to_string(min));
   return n;
+}
+
+double parse_finite_knob(std::string_view text, std::string_view what) {
+  double x = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, x);
+  if (text.empty() || ec != std::errc() || ptr != end || !std::isfinite(x))
+    reject_knob(what, text, "not a finite decimal number");
+  return x;
 }
 
 std::optional<std::string_view> env_knob(const char* name) {

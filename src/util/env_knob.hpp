@@ -44,6 +44,11 @@ std::size_t parse_count_knob(std::string_view digits, std::string_view item,
                              std::size_t min, std::size_t max,
                              std::string_view what, std::string_view value);
 
+/// Parse `text` as a finite decimal number (no inf/nan, no leading '+',
+/// nothing trailing), rejected as `what="text": <problem>`. Range checks
+/// stay with the caller, which knows the field's meaning.
+double parse_finite_knob(std::string_view text, std::string_view what);
+
 /// getenv() that treats unset and empty identically (both → nullopt):
 /// an exported-but-empty knob means "default", not "reject".
 std::optional<std::string_view> env_knob(const char* name);

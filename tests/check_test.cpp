@@ -8,7 +8,6 @@
 // bit-identical to the unchecked serial reference.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -276,14 +275,6 @@ TEST(CheckedExecution, SharedAccumulatorCaughtThroughOwnedSpan) {
        "wrote state owned by machine 0"});
 }
 
-TEST(CheckedExecution, StaleFetchCacheEntryCaughtEverywhere) {
-  expect_caught_everywhere(
-      make_stale_fetch_cache_selfcheck,
-      {"checked execution", "\"check.stale_fetch_cache.step\"",
-       "reused a stale fetch-cache entry (epoch 0)",
-       "the owning state changed but the epoch did not"});
-}
-
 TEST(CheckedExecution, ContinueCallbackMutationCaught) {
   expect_caught_everywhere(
       make_continue_mutation_selfcheck,
@@ -343,18 +334,13 @@ TEST(CheckedExecution, CleanSelfOwnedProgramPassesChecked) {
 /// reference, then under checked execution on {serial, parallel(2)} x
 /// {in-process, loopback:2, tcp:2}. The body captures its reference
 /// output on the first call and EXPECTs equality after — checked
-/// execution must change nothing observable. `route_aggregation` selects
-/// the sample sorts' bulk vs. per-record route in every cell (including
-/// the reference), so both paths can be driven through the full matrix.
+/// execution must change nothing observable.
 template <typename RunFn>
-void expect_checked_clean(
-    const char* what, const RunFn& body, std::size_t machines = 8,
-    std::size_t capacity = 4096, bool route_aggregation = true,
-    const std::function<void(ClusterConfig&)>& configure = {}) {
+void expect_checked_clean(const char* what, const RunFn& body,
+                          std::size_t machines = 8,
+                          std::size_t capacity = 4096) {
   {
-    ClusterConfig cfg{machines, capacity};
-    cfg.route_aggregation = route_aggregation;
-    if (configure) configure(cfg);
+    const ClusterConfig cfg{machines, capacity};
     mpc::Cluster cluster(cfg, nullptr);
     body(cluster, true);
   }
@@ -370,8 +356,6 @@ void expect_checked_clean(
       ClusterConfig cfg{machines, capacity};
       cfg.execution = policy;
       cfg.transport = transport;
-      cfg.route_aggregation = route_aggregation;
-      if (configure) configure(cfg);
       mpc::Cluster cluster(cfg, nullptr);
       body(cluster, false);
     }
@@ -401,20 +385,6 @@ TEST(CheckedMatrix, SampleSortTree) {
   });
 }
 
-TEST(CheckedMatrix, SampleSortCoordinator) {
-  const auto input = random_slabs(8, 48, 222);
-  std::vector<std::vector<Word>> reference;
-  expect_checked_clean(
-      "sample_sort/coordinator", [&](mpc::Cluster& cluster, bool first) {
-        const mpc::SampleSortResult result = sample_sort(
-            cluster, input, 8, mpc::SplitterStrategy::kCoordinator);
-        if (first)
-          reference = result.slabs;
-        else
-          EXPECT_EQ(result.slabs, reference);
-      });
-}
-
 TEST(CheckedMatrix, RecordSampleSort) {
   util::SplitRng rng(223);
   std::vector<std::vector<Word>> input(8);
@@ -434,104 +404,6 @@ TEST(CheckedMatrix, RecordSampleSort) {
         else
           EXPECT_EQ(result.slabs, reference);
       });
-}
-
-// The defaults above already drive the bulk route through the whole
-// checked matrix (route_aggregation defaults on); these two pin the
-// per-record fallback to the same standard, and cross-check that both
-// knob settings produce the identical slabs.
-TEST(CheckedMatrix, SampleSortTreeNoAggregation) {
-  const auto input = random_slabs(8, 48, 221);  // same seed as the bulk run
-  std::vector<std::vector<Word>> reference;
-  expect_checked_clean(
-      "sample_sort/no-agg",
-      [&](mpc::Cluster& cluster, bool first) {
-        const mpc::SampleSortResult result = sample_sort(cluster, input);
-        if (first)
-          reference = result.slabs;
-        else
-          EXPECT_EQ(result.slabs, reference);
-      },
-      8, 4096, /*route_aggregation=*/false);
-  // Against the aggregated route: same buckets, bit for bit.
-  ClusterConfig cfg{8, 4096};
-  cfg.route_aggregation = true;
-  mpc::Cluster cluster(cfg, nullptr);
-  EXPECT_EQ(sample_sort(cluster, input).slabs, reference);
-}
-
-TEST(CheckedMatrix, RecordSampleSortNoAggregation) {
-  util::SplitRng rng(223);
-  std::vector<std::vector<Word>> input(8);
-  std::size_t payload = 0;
-  for (auto& slab : input)
-    for (int r = 0; r < 24; ++r) {
-      slab.push_back(rng.next_below(8));
-      slab.push_back(payload++);
-    }
-  std::vector<std::vector<Word>> reference;
-  expect_checked_clean(
-      "sample_sort_records/no-agg",
-      [&](mpc::Cluster& cluster, bool first) {
-        const mpc::RecordSortResult result =
-            sample_sort_records(cluster, input, 2, 1);
-        if (first)
-          reference = result.slabs;
-        else
-          EXPECT_EQ(result.slabs, reference);
-      },
-      8, 4096, /*route_aggregation=*/false);
-}
-
-// Same standard for the new knobs' fallback arms: the re-sort baseline
-// (merge_path off) and the uncached fetch path (fetch_cache off) must run
-// checked-clean everywhere, and the merge-path cross-check pins both knob
-// settings to identical slabs.
-TEST(CheckedMatrix, RecordSampleSortNoMergePath) {
-  util::SplitRng rng(227);
-  std::vector<std::vector<Word>> input(8);
-  std::size_t payload = 0;
-  for (auto& slab : input)
-    for (int r = 0; r < 24; ++r) {
-      slab.push_back(rng.next_below(8));
-      slab.push_back(payload++);
-    }
-  std::vector<std::vector<Word>> reference;
-  expect_checked_clean(
-      "sample_sort_records/no-merge-path",
-      [&](mpc::Cluster& cluster, bool first) {
-        const mpc::RecordSortResult result =
-            sample_sort_records(cluster, input, 2, 1);
-        if (first)
-          reference = result.slabs;
-        else
-          EXPECT_EQ(result.slabs, reference);
-      },
-      8, 4096, /*route_aggregation=*/true,
-      [](ClusterConfig& cfg) { cfg.merge_path = false; });
-  // Against the merge path: same buckets, bit for bit.
-  ClusterConfig cfg{8, 4096};
-  cfg.merge_path = true;
-  mpc::Cluster cluster(cfg, nullptr);
-  EXPECT_EQ(sample_sort_records(cluster, input, 2, 1).slabs, reference);
-}
-
-TEST(CheckedMatrix, EmbeddedPeelingNoFetchCache) {
-  util::SplitRng rng(228);
-  const graph::Graph g = graph::gnm(200, 600, rng);
-  std::vector<std::uint32_t> reference_layers;
-  expect_checked_clean(
-      "peeling/no-fetch-cache",
-      [&](mpc::Cluster& cluster, bool first) {
-        const local::EmbeddedPeelingResult result =
-            local::embedded_threshold_peeling(g, 6, cluster, 100);
-        if (first)
-          reference_layers = result.layer;
-        else
-          EXPECT_EQ(result.layer, reference_layers);
-      },
-      8, 4096, /*route_aggregation=*/true,
-      [](ClusterConfig& cfg) { cfg.fetch_cache = false; });
 }
 
 TEST(CheckedMatrix, BroadcastAndConverge) {
@@ -624,7 +496,7 @@ TEST(CheckedMatrix, SelfCheckProgramsAreRegistered) {
   for (const char* name :
        {"check.cross_write", "check.order_dependent",
         "check.shared_accumulator", "check.underdeclared",
-        "check.stale_fetch_cache", "check.continue_mutation"})
+        "check.continue_mutation"})
     EXPECT_NO_THROW(registry.find(name)) << name;
 }
 

@@ -261,5 +261,55 @@ TEST(GraphIo, RejectsCountMismatch) {
   EXPECT_THROW(read_edge_list(ss), InvariantError);
 }
 
+// Malformed lines fail by line number; none may be read as some other
+// edge (an id past 2^32 truncated, a negative id wrapped) or accepted with
+// trailing junk.
+void expect_edge_list_rejected(const std::string& text,
+                               const std::string& fragment) {
+  std::stringstream ss(text);
+  try {
+    read_edge_list(ss);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(GraphIo, RejectsEndpointPastVertexIdRange) {
+  expect_edge_list_rejected("3 1\n4294967296 1\n",
+                            "edge list line 2: endpoint=\"4294967296\": "
+                            "value out of range");
+}
+
+TEST(GraphIo, RejectsNegativeEndpoint) {
+  expect_edge_list_rejected("3 1\n-4294967295 2\n",
+                            "edge list line 2: endpoint=\"-4294967295\": "
+                            "value is not a number");
+}
+
+TEST(GraphIo, RejectsTrailingTokens) {
+  expect_edge_list_rejected("3 1\n0 1 junk\n",
+                            "edge list line 2: want 'u v', got 3 fields");
+  expect_edge_list_rejected("3 1 9\n0 1\n", "edge list line 1: want header");
+}
+
+TEST(GraphIo, ErrorsNameTheLine) {
+  expect_edge_list_rejected("# c\n3 1\n\n0 5\n",
+                            "edge list line 4: endpoint 5 out of range");
+  expect_edge_list_rejected("3 1\n0 1\n1 2\n",
+                            "edge list line 3: more edges than the header");
+  expect_edge_list_rejected("+3 1\n0 1\n",
+                            "edge list line 1: vertex count=\"+3\"");
+  expect_edge_list_rejected("", "edge list line 0: no header line");
+}
+
+TEST(GraphIo, AcceptsCrlfAndTabs) {
+  std::stringstream ss("3\t2\r\n0 1\r\n 1\t2 \r\n");
+  const Graph g = read_edge_list(ss);
+  EXPECT_EQ(g.num_edges(), 2u);
+  EXPECT_TRUE(g.has_edge(1, 2));
+}
+
 }  // namespace
 }  // namespace arbor::graph

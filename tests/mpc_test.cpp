@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <string>
 
 #include "util/assert.hpp"
 #include "graph/generators.hpp"
@@ -39,6 +40,42 @@ TEST(ClusterConfig, RejectsBadDelta) {
                arbor::InvariantError);
   EXPECT_THROW(ClusterConfig::for_problem(100, 100, 1.5),
                arbor::InvariantError);
+}
+
+// The three retired fields accept only `true`: both constructors reject
+// `false` by field name, along with the zero-sized shapes no cluster can
+// run.
+TEST(ClusterConfig, RetiredFieldsAcceptOnlyTrue) {
+  const auto expect_rejected = [](const ClusterConfig& cfg,
+                                  const std::string& field) {
+    for (const bool as_context : {false, true}) {
+      try {
+        if (as_context)
+          MpcContext ctx(cfg, nullptr);
+        else
+          Cluster cluster(cfg, nullptr);
+        ADD_FAILURE() << field << " accepted (context=" << as_context << ")";
+      } catch (const arbor::InvariantError& e) {
+        EXPECT_NE(std::string(e.what()).find("ClusterConfig::" + field),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  };
+  ClusterConfig cfg{4, 64};
+  cfg.route_aggregation = false;
+  expect_rejected(cfg, "route_aggregation");
+  cfg = ClusterConfig{4, 64};
+  cfg.merge_path = false;
+  expect_rejected(cfg, "merge_path");
+  cfg = ClusterConfig{4, 64};
+  cfg.fetch_cache = false;
+  expect_rejected(cfg, "fetch_cache");
+  expect_rejected(ClusterConfig{0, 64}, "num_machines");
+  expect_rejected(ClusterConfig{4, 0}, "words_per_machine");
+
+  EXPECT_NO_THROW(Cluster(ClusterConfig{4, 64}, nullptr));
+  EXPECT_NO_THROW(MpcContext(ClusterConfig{4, 64}, nullptr));
 }
 
 TEST(RoundLedger, ChargesAndLabels) {

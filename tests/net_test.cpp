@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <memory>
 #include <ranges>
@@ -323,52 +322,6 @@ TEST(EnvOverrides, BoolFlagsRejectUnknownValuesByName) {
                   "not a boolean flag");
 }
 
-// ARBOR_ROUTE_AGGREGATION goes through the same strict boolean parser:
-// "off" disables the bulk route for an A/B run, a typo fails loudly
-// instead of silently picking the default.
-TEST(EnvOverrides, RouteAggregationFlagIsStrict) {
-  EXPECT_TRUE(mpc::parse_bool_flag("on", "ARBOR_ROUTE_AGGREGATION"));
-  EXPECT_FALSE(mpc::parse_bool_flag("off", "ARBOR_ROUTE_AGGREGATION"));
-  expect_rejected(
-      [] { mpc::parse_bool_flag("fast", "ARBOR_ROUTE_AGGREGATION"); },
-      "ARBOR_ROUTE_AGGREGATION=\"fast\"");
-  // The config default is the knob's compiled-in default (on) when the
-  // variable is unset — and per-config overrides stay independent.
-  ClusterConfig cfg{2, 64};
-  cfg.route_aggregation = false;
-  EXPECT_FALSE(cfg.route_aggregation);
-  EXPECT_TRUE((ClusterConfig{2, 64}).route_aggregation ==
-              mpc::route_aggregation_env_default());
-}
-
-// ARBOR_MERGE_PATH and ARBOR_FETCH_CACHE follow the same discipline:
-// strict boolean parse, "off" selects the A/B baseline (wholesale re-sort,
-// uncached fetches), typos fail loudly, and the compiled-in default is on
-// when the variable is unset.
-TEST(EnvOverrides, MergePathFlagIsStrict) {
-  EXPECT_TRUE(mpc::parse_bool_flag("on", "ARBOR_MERGE_PATH"));
-  EXPECT_FALSE(mpc::parse_bool_flag("off", "ARBOR_MERGE_PATH"));
-  expect_rejected([] { mpc::parse_bool_flag("merge", "ARBOR_MERGE_PATH"); },
-                  "ARBOR_MERGE_PATH=\"merge\"");
-  ClusterConfig cfg{2, 64};
-  cfg.merge_path = false;
-  EXPECT_FALSE(cfg.merge_path);
-  EXPECT_TRUE((ClusterConfig{2, 64}).merge_path ==
-              mpc::merge_path_env_default());
-}
-
-TEST(EnvOverrides, FetchCacheFlagIsStrict) {
-  EXPECT_TRUE(mpc::parse_bool_flag("on", "ARBOR_FETCH_CACHE"));
-  EXPECT_FALSE(mpc::parse_bool_flag("off", "ARBOR_FETCH_CACHE"));
-  expect_rejected([] { mpc::parse_bool_flag("lru", "ARBOR_FETCH_CACHE"); },
-                  "ARBOR_FETCH_CACHE=\"lru\"");
-  ClusterConfig cfg{2, 64};
-  cfg.fetch_cache = false;
-  EXPECT_FALSE(cfg.fetch_cache);
-  EXPECT_TRUE((ClusterConfig{2, 64}).fetch_cache ==
-              mpc::fetch_cache_env_default());
-}
-
 TEST(EnvOverrides, TransportFlagParsesKindsAndWorkerCounts) {
   EXPECT_EQ(mpc::parse_transport_flag("inprocess", "ARBOR_TRANSPORT"),
             TransportConfig{});
@@ -439,13 +392,11 @@ struct MatrixOutcome {
 template <typename RunFn>
 void expect_transports_identical(
     const char* what, const RunFn& run, std::size_t machines = 8,
-    std::size_t capacity = 4096,
-    const std::function<void(ClusterConfig&)>& configure = {}) {
+    std::size_t capacity = 4096) {
   std::vector<MatrixOutcome> outcomes;
   for (const TransportConfig& transport : transport_matrix()) {
     ClusterConfig cfg{machines, capacity};
     cfg.transport = transport;
-    if (configure) configure(cfg);
     mpc::RoundLedger ledger(cfg);
     mpc::Cluster cluster(cfg, &ledger);
     EXPECT_EQ(cluster.distributed(), !transport.in_process());
@@ -515,24 +466,8 @@ TEST(TransportDeterminismMatrix, RecordSampleSort) {
       });
 }
 
-// Both splitter strategies stay bit-identical across transports (the
-// strategy travels as a RemoteSpec scalar), and the tree also at a wide,
-// ragged machine count whose groups straddle worker-block boundaries.
-TEST(TransportDeterminismMatrix, SampleSortCoordinatorStrategy) {
-  const auto input = random_slabs(8, 48, 125);
-  std::vector<std::vector<Word>> reference;
-  expect_transports_identical(
-      "sample_sort/coordinator", [&](mpc::Cluster& cluster, bool first) {
-        const mpc::SampleSortResult result = sample_sort(
-            cluster, input, 8, mpc::SplitterStrategy::kCoordinator);
-        EXPECT_EQ(result.rounds, 3u);
-        if (first)
-          reference = result.slabs;
-        else
-          EXPECT_EQ(result.slabs, reference);
-      });
-}
-
+// The tree also at a wide, ragged machine count whose groups straddle
+// worker-block boundaries.
 TEST(TransportDeterminismMatrix, WideTreeSampleSort) {
   const std::size_t machines = 75;  // r = 9, ragged last group of 3
   const auto input = random_slabs(machines, 40, 126);
@@ -609,50 +544,6 @@ TEST(TransportDeterminismMatrix, EmbeddedPeeling) {
           EXPECT_EQ(result.num_layers, reference_num_layers);
         }
       });
-}
-
-// The knob-off fallbacks travel as RemoteSpec scalars too: the re-sort
-// baseline and the uncached fetch path must be just as bit-identical
-// across transports as the defaults, or the A/B comparison is meaningless
-// off the in-process engine.
-TEST(TransportDeterminismMatrix, RecordSampleSortMergePathOff) {
-  util::SplitRng rng(127);
-  std::vector<std::vector<Word>> input(8);
-  std::size_t payload = 0;
-  for (auto& slab : input)
-    for (int r = 0; r < 24; ++r) {
-      slab.push_back(rng.next_below(8));
-      slab.push_back(payload++);
-    }
-  std::vector<std::vector<Word>> reference;
-  expect_transports_identical(
-      "sample_sort_records/no-merge-path",
-      [&](mpc::Cluster& cluster, bool first) {
-        const mpc::RecordSortResult result =
-            sample_sort_records(cluster, input, 2, 1);
-        if (first)
-          reference = result.slabs;
-        else
-          EXPECT_EQ(result.slabs, reference);
-      },
-      8, 4096, [](ClusterConfig& cfg) { cfg.merge_path = false; });
-}
-
-TEST(TransportDeterminismMatrix, EmbeddedPeelingFetchCacheOff) {
-  util::SplitRng rng(128);
-  const graph::Graph g = graph::gnm(300, 900, rng);
-  std::vector<std::uint32_t> reference_layers;
-  expect_transports_identical(
-      "peeling/no-fetch-cache",
-      [&](mpc::Cluster& cluster, bool first) {
-        const local::EmbeddedPeelingResult result =
-            local::embedded_threshold_peeling(g, 6, cluster, 100);
-        if (first)
-          reference_layers = result.layer;
-        else
-          EXPECT_EQ(result.layer, reference_layers);
-      },
-      8, 4096, [](ClusterConfig& cfg) { cfg.fetch_cache = false; });
 }
 
 // Back-to-back programs on one distributed cluster: the second program's

@@ -94,12 +94,6 @@ TEST(CostModels, AllSixRegisteredProtocolsRunBounded) {
     sample_sort(cluster, random_slabs(8, 32, 11));
     expect_bounded_clean("mpc.sample_sort");
   }
-  {  // mpc.sample_sort, coordinator strategy (same report name)
-    mpc::Cluster cluster(ClusterConfig{8, 8192}, nullptr);
-    sample_sort(cluster, random_slabs(8, 32, 12), 8,
-                mpc::SplitterStrategy::kCoordinator);
-    expect_bounded_clean("mpc.sample_sort");
-  }
   {  // mpc.sample_sort_records
     mpc::Cluster cluster(ClusterConfig{8, 8192}, nullptr);
     sample_sort_records(cluster, random_slabs(8, 32, 13), 2, 1);

@@ -23,7 +23,6 @@
 #include "core/coloring_mpc.hpp"
 #include "graph/coloring.hpp"
 #include "graph/generators.hpp"
-#include "local/mpc_embedding.hpp"
 #include "mpc/cluster.hpp"
 #include "mpc/ledger.hpp"
 #include "mpc/sample_sort.hpp"
@@ -143,8 +142,8 @@ SortRun run_sort(ClusterConfig cfg) {
   const std::size_t samples = 8;
   mpc::RoundLedger ledger(cfg);
   mpc::Cluster cluster(cfg, &ledger);
-  const mpc::SampleSortResult sorted = sample_sort(
-      cluster, sort_input(machines, 64), samples, mpc::SplitterStrategy::kTree);
+  const mpc::SampleSortResult sorted =
+      sample_sort(cluster, sort_input(machines, 64), samples);
   SortRun run;
   run.slabs = sorted.slabs;
   run.total_rounds = ledger.total_rounds();
@@ -249,7 +248,7 @@ TEST(TraceTelemetry, TcpWorkersShipSpansAndMetricsMatchingLedger) {
   mpc::RoundLedger ledger(cfg);
   mpc::Cluster cluster(cfg, &ledger);
   const mpc::SampleSortResult sorted =
-      sample_sort(cluster, sort_input(8, 64), 8, mpc::SplitterStrategy::kTree);
+      sample_sort(cluster, sort_input(8, 64), 8);
   ASSERT_FALSE(sorted.slabs.empty());
 
   // Driver-side counters mirror the ledger charge exactly, label by label.
@@ -281,42 +280,6 @@ TEST(TraceTelemetry, TcpWorkersShipSpansAndMetricsMatchingLedger) {
       saw_worker_metric = true;
   EXPECT_TRUE(saw_worker_metric)
       << "no net.sent_words.* counter arrived via telemetry";
-  tracer.clear();
-}
-
-// ------------------------------------------------- fetch-cache metric
-//
-// Peeling's split-adjacency fetches repeat across passes (the decrement
-// walk of pass k+1 re-reads what the peel scan of pass k built), so a
-// multi-pass run with the cache on must record engine.fetch_cache_hits >
-// 0 — and the layers must be bit-identical with the cache off, where the
-// counter never appears.
-TEST(TraceTelemetry, FetchCacheHitsCountedAndObservationOnly) {
-  Tracer& tracer = Tracer::global();
-  ScopedMode guard(tracer, tracer.mode());
-
-  util::SplitRng rng(98);
-  const graph::Graph g = graph::gnm(300, 900, rng);
-
-  ClusterConfig cfg{8, 4096};
-  cfg.trace = TraceConfig{Mode::kFull, ""};
-  cfg.fetch_cache = true;
-  tracer.clear();
-  mpc::Cluster cached(cfg, nullptr);
-  const auto with_cache = local::embedded_threshold_peeling(g, 6, cached, 100);
-  const auto hits = tracer.metrics().counter("engine.fetch_cache_hits");
-  ASSERT_TRUE(hits.has_value());
-  EXPECT_GT(*hits, 0u);
-
-  cfg.fetch_cache = false;
-  tracer.clear();
-  mpc::Cluster uncached(cfg, nullptr);
-  const auto without = local::embedded_threshold_peeling(g, 6, uncached, 100);
-  EXPECT_FALSE(tracer.metrics().counter("engine.fetch_cache_hits").has_value());
-
-  EXPECT_EQ(with_cache.layer, without.layer);
-  EXPECT_EQ(with_cache.num_layers, without.num_layers);
-  EXPECT_EQ(with_cache.complete, without.complete);
   tracer.clear();
 }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <initializer_list>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -250,6 +251,36 @@ TEST(EnvKnob, CountKnobValidatesRangeByItemName) {
                          "tcp:65");
       },
       {"worker count out of range"});
+}
+
+// The full size_t range parses without wrapping: the largest value is
+// accepted, one more digit's worth is rejected instead of overflowing.
+TEST(EnvKnob, CountKnobRejectsOverflowWithoutWrapping) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  const std::string max_text = std::to_string(kMax);
+  EXPECT_EQ(parse_count_knob(max_text, "seed", 0, kMax, "--seed", max_text),
+            kMax);
+  const std::string over = max_text + "0";
+  expect_knob_rejected(
+      [&] { parse_count_knob(over, "seed", 0, kMax, "--seed", over); },
+      {"seed out of range"});
+  expect_knob_rejected(
+      [] { parse_count_knob("20", "x", 0, 1, "--x", "20"); },
+      {"x out of range"});
+  expect_knob_rejected(
+      [] { parse_count_knob("5", "x", 0, 1, "--x", "5"); },
+      {"x out of range"});
+}
+
+TEST(EnvKnob, FiniteKnobRejectsJunkAndNonFinite) {
+  EXPECT_DOUBLE_EQ(parse_finite_knob("0.25", "--delta"), 0.25);
+  EXPECT_DOUBLE_EQ(parse_finite_knob("-1e-3", "--threshold"), -1e-3);
+  for (const char* bad : {"", "abc", "0.5x", "+0.5", "inf", "nan", "1e999",
+                          " 0.5"}) {
+    const std::string shape = "--delta=\"" + std::string(bad) + "\"";
+    expect_knob_rejected([bad] { parse_finite_knob(bad, "--delta"); },
+                         {shape.c_str(), "not a finite decimal number"});
+  }
 }
 
 TEST(EnvKnob, EnvKnobTreatsUnsetAndEmptyAlike) {

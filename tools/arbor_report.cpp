@@ -29,6 +29,8 @@
 #include <vector>
 
 #include "trace/json_check.hpp"
+#include "util/assert.hpp"
+#include "util/env_knob.hpp"
 
 namespace {
 
@@ -298,7 +300,15 @@ int main(int argc, char** argv) {
     std::vector<std::string> ignores;
     for (int i = 4; i < argc; ++i) {
       if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-        threshold = std::strtod(argv[++i], nullptr);
+        const char* text = argv[++i];
+        try {
+          threshold = arbor::util::parse_finite_knob(text, "--threshold");
+          if (threshold < 0)
+            arbor::util::reject_knob("--threshold", text, "must be >= 0");
+        } catch (const arbor::InvariantError& e) {
+          std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+          usage(argv[0]);
+        }
       } else if (std::strcmp(argv[i], "--ignore") == 0 && i + 1 < argc) {
         ignores.emplace_back(argv[++i]);
       } else {

@@ -23,6 +23,8 @@
 #include <vector>
 
 #include "trace/json_check.hpp"
+#include "util/assert.hpp"
+#include "util/env_knob.hpp"
 
 namespace {
 
@@ -63,11 +65,23 @@ int main(int argc, char** argv) {
   std::size_t expect_pids = 0;
   std::vector<std::string> expect_labels;
   std::vector<std::string> expect_metrics;
+  // Count values parse strictly: a malformed one exits 2 naming the flag.
+  const auto count_value = [&](const char* flag, const char* text) {
+    try {
+      return arbor::util::parse_count_knob(text, "value", 0, 1'000'000'000,
+                                           flag, text);
+    } catch (const arbor::InvariantError& e) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+      usage(argv[0]);
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--min-events") == 0 && i + 1 < argc) {
-      min_events = std::strtoull(argv[++i], nullptr, 10);
+      min_events = count_value(argv[i], argv[i + 1]);
+      ++i;
     } else if (std::strcmp(argv[i], "--expect-pids") == 0 && i + 1 < argc) {
-      expect_pids = std::strtoull(argv[++i], nullptr, 10);
+      expect_pids = count_value(argv[i], argv[i + 1]);
+      ++i;
     } else if (std::strcmp(argv[i], "--expect") == 0 && i + 1 < argc) {
       split_list(argv[++i], expect_labels);
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {

@@ -33,15 +33,14 @@ void BM_LocalPrune(benchmark::State& state) {
   core::TreeView tree = core::TreeView::star(center, g.neighbors(center));
   {
     std::vector<core::TreeView> stars;
-    std::vector<std::pair<core::TreeView::NodeId, const core::TreeView*>>
-        attachments;
+    std::vector<core::TreeView::Attachment> attachments;
     const auto leaves = tree.leaves_at_depth(1);
     stars.reserve(leaves.size());
     for (auto leaf : leaves)
       stars.push_back(core::TreeView::star(tree.vertex_of(leaf),
                                            g.neighbors(tree.vertex_of(leaf))));
     for (std::size_t i = 0; i < leaves.size(); ++i)
-      attachments.emplace_back(leaves[i], &stars[i]);
+      attachments.push_back({leaves[i], stars[i].words()});
     tree = tree.attach(attachments);
   }
   for (auto _ : state) {

@@ -34,6 +34,8 @@
 #                                        # builds the 'asan' preset and runs
 #                                        # the engine, net, trace, checked-
 #                                        # execution, graph and MPC coloring
+#                                        # tests, and the tree arena /
+#                                        # exponentiation / orientation
 #                                        # tests clean
 #   scripts/check.sh --lint              # style wall only: build and run
 #                                        # tools/arbor_lint over src/ (raw
@@ -182,11 +184,13 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake --preset asan "$@"
   cmake --build build-asan -j"${JOBS}" \
     --target engine_test net_test trace_test check_test graph_test \
-             coloring_mpc_test arbor-worker
+             coloring_mpc_test tree_view_test local_prune_test \
+             exponentiate_test orientation_mpc_test arbor-worker
   # abort_on_error so a worker PROCESS dying on a report fails the driver
   # visibly; detect_leaks stays on (the default) — the wall is the point.
   for t in engine_test net_test trace_test check_test graph_test \
-           coloring_mpc_test; do
+           coloring_mpc_test tree_view_test local_prune_test \
+           exponentiate_test orientation_mpc_test; do
     echo "== asan: ${t} =="
     ASAN_OPTIONS="abort_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./build-asan/${t}"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "core/density_estimate.hpp"
 #include "core/orientation_mpc.hpp"
@@ -18,61 +19,96 @@ namespace {
 constexpr graph::Color kUncolored = 0xffffffffu;
 
 /// Scratch for the cone gauge, reused by every sample and block of one
-/// color_single_part call: a visited bitset of ⌈n/64⌉ words and a FIFO of
-/// vertex ids walked one BFS level at a time. Both are clean between
-/// samples — the bitset is cleared by walking the queue, not by an O(n)
-/// fill.
+/// color_single_part call. set_block() indexes a block once: per member,
+/// the neighbors it can influence inside the block (layer in [ℓ(v),
+/// block_hi]) as a flat list of member indices, and the count of its
+/// boundary neighbors above block_hi. Every sample's BFS then walks only
+/// those lists — a hub's full adjacency is read once per block, not once
+/// per sample. The visited bitset over member indices and the FIFO are
+/// clean between samples (the bitset is cleared by walking the queue).
 class ConeGauge {
  public:
-  explicit ConeGauge(std::size_t n) : visited_((n + 63) / 64, 0) {}
+  explicit ConeGauge(std::size_t n) : member_index_(n, kOutside) {}
 
-  /// Size (in tree-of-influence nodes) of v's cone: vertices reachable
-  /// along paths whose layers never decrease, restricted to layers in
-  /// [block_lo, block_hi], up to `radius` hops, plus the immediate boundary
-  /// neighbors in layers > block_hi (their colors are inputs to the
-  /// replay), counted once per edge.
-  std::size_t measure(const graph::Graph& g, const LayerAssignment& layering,
-                      graph::VertexId start, Layer block_lo, Layer block_hi,
-                      std::size_t radius) {
+  /// `members` must be every vertex whose layer lies in [block_lo,
+  /// block_hi]. Influence flows along non-decreasing layers, so from a
+  /// member v (ℓ(v) ≥ block_lo) it reaches either members or vertices
+  /// above the block; nothing below block_lo is ever looked at.
+  void set_block(const graph::Graph& g, const LayerAssignment& layering,
+                 std::span<const graph::VertexId> members, Layer block_hi) {
+    for (graph::VertexId v : members_) member_index_[v] = kOutside;
+    members_.assign(members.begin(), members.end());
+    for (std::size_t i = 0; i < members_.size(); ++i)
+      member_index_[members_[i]] = static_cast<std::uint32_t>(i);
+    influence_begin_.assign(1, 0);
+    influence_.clear();
+    boundary_.resize(members_.size());
+    for (std::size_t i = 0; i < members_.size(); ++i) {
+      const graph::VertexId v = members_[i];
+      const Layer lv = layering.layer[v];
+      std::size_t above = 0;
+      for (graph::VertexId w : g.neighbors(v)) {
+        const Layer lw = layering.layer[w];
+        if (lw < lv) continue;
+        if (lw > block_hi) {
+          ++above;
+          continue;
+        }
+        ARBOR_CHECK_MSG(member_index_[w] != kOutside,
+                        "cone gauge: block members incomplete");
+        influence_.push_back(member_index_[w]);
+      }
+      influence_begin_.push_back(influence_.size());
+      boundary_[i] = above;
+    }
+    visited_.assign((members_.size() + 63) / 64, 0);
+  }
+
+  /// Size (in tree-of-influence nodes) of member `start`'s cone: members
+  /// reachable along paths whose layers never decrease, up to `radius`
+  /// hops, plus the immediate boundary neighbors in layers above the block
+  /// (their colors are inputs to the replay), counted once per edge.
+  std::size_t measure(graph::VertexId start, std::size_t radius) {
+    ARBOR_CHECK(member_index_[start] != kOutside);
     std::size_t boundary = 0;
-    visit(start);
+    visit(member_index_[start]);
     std::size_t level_begin = 0;
     for (std::size_t dist = 0; dist < radius && level_begin < queue_.size();
          ++dist) {
       const std::size_t level_end = queue_.size();
-      for (std::size_t i = level_begin; i < level_end; ++i) {
-        const graph::VertexId v = queue_[i];
-        const Layer lv = layering.layer[v];
-        for (graph::VertexId w : g.neighbors(v)) {
-          const Layer lw = layering.layer[w];
-          if (lw < lv) continue;  // influence flows along non-decreasing layers
-          if (lw > block_hi) {
-            ++boundary;  // colored input from a higher layer; one word of color
-            continue;
-          }
-          if (lw < block_lo) continue;
-          visit(w);
-        }
+      for (std::size_t q = level_begin; q < level_end; ++q) {
+        const std::uint32_t i = queue_[q];
+        boundary += boundary_[i];  // one word of color per boundary edge
+        for (std::size_t e = influence_begin_[i]; e < influence_begin_[i + 1];
+             ++e)
+          visit(influence_[e]);
       }
       level_begin = level_end;
     }
     const std::size_t discovered = queue_.size();
-    for (graph::VertexId v : queue_) visited_[v >> 6] = 0;
+    for (std::uint32_t i : queue_) visited_[i >> 6] = 0;
     queue_.clear();
     return discovered + boundary;
   }
 
  private:
-  void visit(graph::VertexId v) {
-    std::uint64_t& word = visited_[v >> 6];
-    const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+  static constexpr std::uint32_t kOutside = 0xffffffffu;
+
+  void visit(std::uint32_t i) {
+    std::uint64_t& word = visited_[i >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
     if (word & bit) return;
     word |= bit;
-    queue_.push_back(v);
+    queue_.push_back(i);
   }
 
+  std::vector<std::uint32_t> member_index_;  // per vertex; kOutside if none
+  std::vector<graph::VertexId> members_;
+  std::vector<std::size_t> influence_begin_;
+  std::vector<std::uint32_t> influence_;
+  std::vector<std::size_t> boundary_;
   std::vector<std::uint64_t> visited_;
-  std::vector<graph::VertexId> queue_;
+  std::vector<std::uint32_t> queue_;
 };
 
 struct LayerColoringOutcome {
@@ -224,13 +260,13 @@ SinglePartResult color_single_part(const graph::Graph& g,
     if (!block_members.empty()) {
       trace::Span gauge_span =
           trace::Tracer::global().span("mpc", "color.cone_gauge");
+      gauge.set_block(g, layering.assignment, block_members, j);
       const std::size_t samples =
           std::min(params.cone_sample, block_members.size());
       for (std::size_t i = 0; i < samples; ++i) {
         const graph::VertexId v = block_members[static_cast<std::size_t>(
             sample_rng.next_below(block_members.size()))];
-        const std::size_t cone =
-            gauge.measure(g, layering.assignment, v, j_lo, j, radius);
+        const std::size_t cone = gauge.measure(v, radius);
         result.max_sampled_cone_nodes =
             std::max(result.max_sampled_cone_nodes, cone);
       }

@@ -14,16 +14,6 @@ namespace {
 /// horizon). Kept sorted by vertex for deterministic wire format.
 using ReachMap = std::vector<std::pair<graph::VertexId, std::uint32_t>>;
 
-std::vector<mpc::Word> serialize_reach(const ReachMap& reach) {
-  std::vector<mpc::Word> words;
-  words.reserve(2 * reach.size());
-  for (const auto& [v, d] : reach) {
-    words.push_back(v);
-    words.push_back(d);
-  }
-  return words;
-}
-
 }  // namespace
 
 DirectedGatherResult directed_gather(const graph::Graph& g,
@@ -68,26 +58,39 @@ DirectedGatherResult directed_gather(const graph::Graph& g,
   std::size_t horizon = 1;
   while (horizon < params.radius) {
     ++result.doublings;
-    std::vector<std::vector<graph::VertexId>> requests(n);
-    std::vector<std::vector<mpc::Word>> bundles(n);
+    // Every vertex's bundle is its reach map (empty outside the block) as
+    // (vertex, distance) word pairs, all in one buffer; the fetch delivers
+    // views of it.
+    std::vector<std::size_t> offset(n + 1, 0);
+    for (graph::VertexId v = 0; v < n; ++v)
+      offset[v + 1] = offset[v] + 2 * reach[v].size();
+    std::vector<mpc::Word> words;
+    words.reserve(offset[n]);
+    mpc::RequestLists requests;
     for (graph::VertexId v = 0; v < n; ++v) {
-      if (!in_block(v)) continue;
-      bundles[v] = serialize_reach(reach[v]);
-      if (result.overflowed[v]) continue;
-      requests[v].reserve(reach[v].size());
-      for (const auto& [w, d] : reach[v]) requests[v].push_back(w);
+      for (const auto& [w, d] : reach[v]) {
+        words.push_back(w);
+        words.push_back(d);
+        if (!result.overflowed[v]) requests.targets.push_back(w);
+      }
+      requests.begin.push_back(requests.targets.size());
     }
+    std::vector<std::span<const mpc::Word>> bundles(n);
+    for (graph::VertexId v = 0; v < n; ++v)
+      bundles[v] = {words.data() + offset[v], offset[v + 1] - offset[v]};
     const mpc::BundleFetchResult fetch =
         mpc::fetch_bundles(ctx, bundles, requests, "directed_gather.fetch");
 
     for (graph::VertexId v = 0; v < n; ++v) {
-      if (requests[v].empty()) continue;
+      const std::span<const graph::VertexId> requested = requests.of(v);
+      if (requested.empty()) continue;
       std::unordered_map<graph::VertexId, std::uint32_t> best;
       best.reserve(reach[v].size() * 2);
       for (const auto& [w, d] : reach[v]) best.emplace(w, d);
-      for (std::size_t slot = 0; slot < requests[v].size(); ++slot) {
+      for (std::size_t slot = 0; slot < requested.size(); ++slot) {
         const std::uint32_t via = reach[v][slot].second;
-        const auto& payload = fetch.delivered[v][slot];
+        const std::span<const mpc::Word> payload =
+            fetch.delivered[requests.begin[v] + slot];
         ARBOR_CHECK(payload.size() % 2 == 0);
         for (std::size_t i = 0; i < payload.size(); i += 2) {
           const auto x = static_cast<graph::VertexId>(payload[i]);

@@ -6,66 +6,75 @@
 
 namespace arbor::core {
 
-TreeView local_prune(const TreeView& tree, std::size_t k) {
-  using NodeId = TreeView::NodeId;
-  const std::size_t n = tree.size();
+std::span<const LocalPruner::Word> LocalPruner::prune(
+    std::span<const Word> tree, std::size_t k) {
+  index_.build(tree);
+  const std::size_t n = index_.size();
 
   // The recursion's decision at every node x depends only on the pruned
   // sizes of x's children, so we evaluate bottom-up. The arena invariant
-  // (parent id < child id, established by TreeView's constructors and
-  // attach()) makes a reverse scan a valid bottom-up order.
-  std::vector<std::size_t> pruned_size(n, 1);
-  std::vector<std::vector<NodeId>> kept_children(n);
-
+  // (parent id < child id, checked by TreeIndex::build) makes a reverse
+  // scan a valid bottom-up order.
+  pruned_size_.resize(n);
+  kept_begin_.resize(n);
+  kept_count_.resize(n);
+  kept_.clear();
   for (std::size_t i = n; i-- > 0;) {
     const auto x = static_cast<NodeId>(i);
-    const auto& children = tree.node(x).children;
-    for (NodeId c : children)
-      ARBOR_CHECK_MSG(c > x, "arena order violated: child precedes parent");
+    const std::span<const NodeId> children = index_.children(x);
+    kept_count_[x] = 0;
     if (children.size() <= k) {
       // Rule 1: return the single-node tree — drop all children.
-      pruned_size[x] = 1;
+      pruned_size_[x] = 1;
       continue;
     }
-    // Rule 2: drop the k largest pruned child subtrees.
-    std::vector<NodeId> order(children.begin(), children.end());
-    std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-      if (pruned_size[a] != pruned_size[b])
-        return pruned_size[a] > pruned_size[b];
-      if (tree.vertex_of(a) != tree.vertex_of(b))
-        return tree.vertex_of(a) < tree.vertex_of(b);
-      return a < b;
-    });
-    order.erase(order.begin(),
-                order.begin() + static_cast<std::ptrdiff_t>(k));
-    std::size_t total = 1;
-    for (NodeId c : order) total += pruned_size[c];
-    pruned_size[x] = total;
-    kept_children[x] = std::move(order);
+    // Rule 2: drop the k largest pruned child subtrees. Sort the children
+    // in place at the end of kept_ and keep the part after the first k.
+    const std::size_t first = kept_.size();
+    kept_.insert(kept_.end(), children.begin(), children.end());
+    std::sort(kept_.begin() + static_cast<std::ptrdiff_t>(first),
+              kept_.end(), [&](NodeId a, NodeId b) {
+                if (pruned_size_[a] != pruned_size_[b])
+                  return pruned_size_[a] > pruned_size_[b];
+                const graph::VertexId va = tree_words::vertex_of(tree, a);
+                const graph::VertexId vb = tree_words::vertex_of(tree, b);
+                if (va != vb) return va < vb;
+                return a < b;
+              });
+    std::uint32_t total = 1;
+    for (std::size_t j = first + k; j < kept_.size(); ++j)
+      total += pruned_size_[kept_[j]];
+    pruned_size_[x] = total;
+    kept_begin_[x] = static_cast<std::uint32_t>(first + k);
+    kept_count_[x] = static_cast<std::uint32_t>(children.size() - k);
   }
 
-  // Top-down: materialize the kept nodes into a fresh arena (preorder keeps
-  // the parent-before-child invariant for downstream passes).
-  std::vector<TreeView::Node> out;
-  out.reserve(pruned_size[0]);
-  // Stack of (source node, parent id in `out`).
-  std::vector<std::pair<NodeId, NodeId>> stack{
-      {tree.root(), TreeView::kNoNode}};
-  while (!stack.empty()) {
-    const auto [src, parent] = stack.back();
-    stack.pop_back();
-    const auto id = static_cast<NodeId>(out.size());
-    const std::uint32_t depth =
-        parent == TreeView::kNoNode ? 0 : out[parent].depth + 1;
-    out.push_back(TreeView::Node{tree.vertex_of(src), parent, depth, {}});
-    if (parent != TreeView::kNoNode) out[parent].children.push_back(id);
+  // Top-down: materialize the kept nodes in preorder (which keeps the
+  // parent-before-child invariant for downstream passes).
+  const std::size_t size = pruned_size_[0];
+  out_.resize(tree_words::word_count(size));
+  out_[0] = size;
+  std::size_t next = 0;
+  stack_.clear();
+  stack_.emplace_back(NodeId{0}, TreeView::kNoNode);
+  while (!stack_.empty()) {
+    const auto [src, parent] = stack_.back();
+    stack_.pop_back();
+    const auto id = static_cast<NodeId>(next++);
+    out_[1 + 2 * std::size_t{id}] = tree_words::vertex_of(tree, src);
+    out_[2 + 2 * std::size_t{id}] = parent;
     // Push in reverse so children materialize in their kept order.
-    for (auto it = kept_children[src].rbegin();
-         it != kept_children[src].rend(); ++it)
-      stack.emplace_back(*it, id);
+    const std::uint32_t begin = kept_begin_[src];
+    for (std::uint32_t j = kept_count_[src]; j-- > 0;)
+      stack_.emplace_back(kept_[begin + j], id);
   }
-  ARBOR_CHECK(out.size() == pruned_size[0]);
-  return TreeView::from_nodes(std::move(out));
+  ARBOR_CHECK(next == size);
+  return out_;
+}
+
+TreeView local_prune(const TreeView& tree, std::size_t k) {
+  LocalPruner pruner;
+  return TreeView::deserialize(pruner.prune(tree.words(), k));
 }
 
 }  // namespace arbor::core

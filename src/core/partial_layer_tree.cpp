@@ -1,53 +1,66 @@
 #include "core/partial_layer_tree.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace arbor::core {
 
+std::span<const Layer> TreePeeler::peel(const graph::Graph& g,
+                                        std::span<const TreeView::Word> tree,
+                                        std::size_t a, Layer L) {
+  const std::size_t n = tree_words::size(tree);
+  ARBOR_CHECK_MSG(n >= 1 && tree.size() == tree_words::word_count(n),
+                  "tree arena: length mismatch");
+  layer_.assign(n, kInfiniteLayer);
+
+  // |Missing(x)| = deg(map(x)) - #children(x) is fixed throughout;
+  // unassigned-children counts shrink as children get assigned. One
+  // counting pass over the parents gives the children counts.
+  unassigned_children_.assign(n, 0);
+  for (NodeId x = 1; x < n; ++x) {
+    const NodeId parent = tree_words::parent_of(tree, x);
+    ARBOR_CHECK_MSG(parent < x, "tree arena: parent-before-child violated");
+    ++unassigned_children_[parent];
+  }
+  missing_.resize(n);
+  for (NodeId x = 0; x < n; ++x) {
+    const std::size_t deg = g.degree(tree_words::vertex_of(tree, x));
+    ARBOR_CHECK_MSG(unassigned_children_[x] <= deg,
+                    "more children than graph neighbors — invalid mapping");
+    missing_[x] = deg - unassigned_children_[x];
+  }
+
+  remaining_.resize(n);
+  for (NodeId x = 0; x < n; ++x) remaining_[x] = x;
+  for (Layer j = 1; j <= L && !remaining_.empty(); ++j) {
+    next_remaining_.clear();
+    assigned_now_.clear();
+    // Selection is synchronous: V_j is decided from the state at the start
+    // of iteration j, so we first select, then update counters.
+    for (NodeId x : remaining_) {
+      if (unassigned_children_[x] + missing_[x] <= a)
+        assigned_now_.push_back(x);
+      else
+        next_remaining_.push_back(x);
+    }
+    for (NodeId x : assigned_now_) {
+      layer_[x] = j;
+      if (x != 0) {
+        const NodeId parent = tree_words::parent_of(tree, x);
+        ARBOR_CHECK(unassigned_children_[parent] > 0);
+        --unassigned_children_[parent];
+      }
+    }
+    remaining_.swap(next_remaining_);
+  }
+  return layer_;
+}
+
 std::vector<Layer> partial_layer_assignment_tree(const graph::Graph& g,
                                                  const TreeView& tree,
                                                  std::size_t a, Layer L) {
-  const std::size_t n = tree.size();
-  std::vector<Layer> layer(n, kInfiniteLayer);
-
-  // |Missing(x)| is fixed throughout; unassigned-children counts shrink as
-  // children get assigned.
-  std::vector<std::size_t> missing(n);
-  std::vector<std::size_t> unassigned_children(n);
-  for (TreeView::NodeId x = 0; x < n; ++x) {
-    missing[x] = tree.missing_count(g, x);
-    unassigned_children[x] = tree.node(x).children.size();
-  }
-
-  std::vector<TreeView::NodeId> remaining(n);
-  for (TreeView::NodeId x = 0; x < n; ++x) remaining[x] = x;
-
-  std::vector<TreeView::NodeId> next_remaining;
-  std::vector<TreeView::NodeId> assigned_now;
-  for (Layer j = 1; j <= L && !remaining.empty(); ++j) {
-    next_remaining.clear();
-    assigned_now.clear();
-    // Selection is synchronous: V_j is decided from the state at the start
-    // of iteration j, so we first select, then update counters.
-    for (TreeView::NodeId x : remaining) {
-      if (unassigned_children[x] + missing[x] <= a)
-        assigned_now.push_back(x);
-      else
-        next_remaining.push_back(x);
-    }
-    for (TreeView::NodeId x : assigned_now) {
-      layer[x] = j;
-      const TreeView::NodeId parent = tree.node(x).parent;
-      if (parent != TreeView::kNoNode) {
-        ARBOR_CHECK(unassigned_children[parent] > 0);
-        --unassigned_children[parent];
-      }
-    }
-    remaining.swap(next_remaining);
-  }
-  return layer;
+  TreePeeler peeler;
+  const std::span<const Layer> layers = peeler.peel(g, tree.words(), a, L);
+  return {layers.begin(), layers.end()};
 }
 
 }  // namespace arbor::core

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/layering.hpp"
@@ -22,7 +23,28 @@
 
 namespace arbor::core {
 
-/// Per-tree-node layer assignment; kInfiniteLayer for ∞.
+/// Algorithm 3 on a tree's wire words (tree_view.hpp layout). The working
+/// arrays are flat and reused across calls, like LocalPruner's.
+class TreePeeler {
+ public:
+  /// Per-tree-node layer assignment (kInfiniteLayer for ∞): a view of this
+  /// peeler's scratch, valid until the next peel().
+  std::span<const Layer> peel(const graph::Graph& g,
+                              std::span<const TreeView::Word> tree,
+                              std::size_t a, Layer L);
+
+ private:
+  using NodeId = TreeView::NodeId;
+
+  std::vector<Layer> layer_;
+  std::vector<std::size_t> missing_;
+  std::vector<std::size_t> unassigned_children_;
+  std::vector<NodeId> remaining_;
+  std::vector<NodeId> next_remaining_;
+  std::vector<NodeId> assigned_now_;
+};
+
+/// One-tree convenience over TreePeeler (tests).
 std::vector<Layer> partial_layer_assignment_tree(const graph::Graph& g,
                                                  const TreeView& tree,
                                                  std::size_t a, Layer L);

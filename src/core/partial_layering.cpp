@@ -25,12 +25,15 @@ PartialLayeringResult partial_layer_assignment(
   // (v, layer) contributions from every tree node, then min-by-key. Each
   // pair is 2 words; this is the Algorithm 4 final line in MPC form.
   std::vector<std::pair<graph::VertexId, Layer>> contributions;
+  contributions.reserve((trees.words.size() - n) / 2);
+  TreePeeler peeler;
   for (graph::VertexId v = 0; v < n; ++v) {
-    const TreeView& tree = trees.trees[v];
-    const std::vector<Layer> tree_layers =
-        partial_layer_assignment_tree(g, tree, a, p.num_layers);
-    for (TreeView::NodeId x = 0; x < tree.size(); ++x)
-      contributions.emplace_back(tree.vertex_of(x), tree_layers[x]);
+    const std::span<const mpc::Word> tree = trees.tree_words(v);
+    const std::span<const Layer> tree_layers =
+        peeler.peel(g, tree, a, p.num_layers);
+    for (TreeView::NodeId x = 0; x < tree_layers.size(); ++x)
+      contributions.emplace_back(tree_words::vertex_of(tree, x),
+                                 tree_layers[x]);
   }
 
   const auto combined = ctx.aggregate_by_key<graph::VertexId, Layer>(

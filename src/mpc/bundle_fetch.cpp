@@ -12,27 +12,25 @@
 
 namespace arbor::mpc {
 
-BundleFetchResult fetch_bundles(
-    MpcContext& ctx, const std::vector<std::vector<Word>>& bundles,
-    const std::vector<std::vector<graph::VertexId>>& requests,
-    const std::string& label) {
-  ARBOR_CHECK_MSG(requests.size() <= bundles.size() || bundles.empty(),
+BundleFetchResult fetch_bundles(MpcContext& ctx,
+                                std::span<const std::span<const Word>> bundles,
+                                const RequestLists& requests,
+                                const std::string& label) {
+  const std::size_t num_requesters = requests.num_requesters();
+  ARBOR_CHECK_MSG(num_requesters <= bundles.size() || bundles.empty(),
                   "more requesters than vertices with bundles");
   BundleFetchResult result;
-  result.delivered.resize(requests.size());
 
   // Step 1: k_v = number of requesters per vertex (one sort in the model).
   std::vector<std::size_t> copies(bundles.size(), 0);
-  std::size_t total_requests = 0;
-  for (std::size_t u = 0; u < requests.size(); ++u) {
+  for (std::size_t u = 0; u < num_requesters; ++u)
     result.stats.max_request_list =
-        std::max(result.stats.max_request_list, requests[u].size());
-    for (graph::VertexId v : requests[u]) {
-      ARBOR_CHECK_MSG(v < bundles.size(), "request for unknown vertex");
-      ++copies[v];
-      ++total_requests;
-    }
+        std::max(result.stats.max_request_list, requests.of(u).size());
+  for (graph::VertexId v : requests.targets) {
+    ARBOR_CHECK_MSG(v < bundles.size(), "request for unknown vertex");
+    ++copies[v];
   }
+  const std::size_t total_requests = requests.targets.size();
   const std::size_t count_sort_rounds =
       ctx.sort_rounds(total_requests + 2 * bundles.size());
 
@@ -48,12 +46,12 @@ BundleFetchResult fetch_bundles(
       ctx.broadcast_rounds(std::max<std::size_t>(1, result.stats.max_copies));
 
   // Step 3: route copies to requesters (one sort over delivered volume),
-  // executed here as direct copies.
-  for (std::size_t u = 0; u < requests.size(); ++u) {
+  // delivered here as views of the owners' bundles.
+  result.delivered.reserve(total_requests);
+  for (std::size_t u = 0; u < num_requesters; ++u) {
     std::size_t requester_words = 0;
-    result.delivered[u].reserve(requests[u].size());
-    for (graph::VertexId v : requests[u]) {
-      result.delivered[u].push_back(bundles[v]);
+    for (graph::VertexId v : requests.of(u)) {
+      result.delivered.push_back(bundles[v]);
       requester_words += bundles[v].size();
     }
     result.stats.max_requester_words =

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,19 +35,41 @@ struct BundleFetchStats {
   std::size_t max_copies = 0;           ///< largest k_v
 };
 
-/// `bundles[v]` is vertex v's bundle; `requests[u]` the list L_u.
-/// Returns, for each requester u, the bundles aligned with requests[u].
-/// Records footprints with the context's ledger; the stats let callers
-/// assert the lemma's preconditions at their chosen budgets.
+/// The request lists L_u of every requester u, flat:
+/// L_u = targets[begin[u] .. begin[u + 1]).
+struct RequestLists {
+  std::vector<std::size_t> begin{0};
+  std::vector<graph::VertexId> targets;
+
+  std::size_t num_requesters() const noexcept { return begin.size() - 1; }
+  std::span<const graph::VertexId> of(std::size_t u) const {
+    return {targets.data() + begin[u], begin[u + 1] - begin[u]};
+  }
+  /// Appends the next requester's list.
+  void add(std::span<const graph::VertexId> list) {
+    targets.insert(targets.end(), list.begin(), list.end());
+    begin.push_back(targets.size());
+  }
+};
+
+/// `bundles[v]` views vertex v's bundle; `requests` holds the lists L_u.
+/// The delivery is a view, not a copy: delivered[requests.begin[u] + slot]
+/// is bundles[requests.of(u)[slot]] itself, so it stays valid exactly as
+/// long as the storage behind `bundles` (for graph exponentiation, the
+/// step's tree buffer). Rounds are charged and words noted for the full
+/// Lemma 4.1 data movement — a copy of every requested bundle reaching its
+/// requester — as if the copies were made. Records footprints with the
+/// context's ledger; the stats let callers assert the lemma's
+/// preconditions at their chosen budgets.
 struct BundleFetchResult {
-  std::vector<std::vector<std::vector<Word>>> delivered;
+  std::vector<std::span<const Word>> delivered;
   BundleFetchStats stats;
 };
 
-BundleFetchResult fetch_bundles(
-    MpcContext& ctx, const std::vector<std::vector<Word>>& bundles,
-    const std::vector<std::vector<graph::VertexId>>& requests,
-    const std::string& label);
+BundleFetchResult fetch_bundles(MpcContext& ctx,
+                                std::span<const std::span<const Word>> bundles,
+                                const RequestLists& requests,
+                                const std::string& label);
 
 /// The executable Level-0 counterpart of fetch_bundles: the same
 /// request/serve dataflow run as a real RoundProgram on `cluster`, under
@@ -54,10 +77,11 @@ BundleFetchResult fetch_bundles(
 /// block-assigned to machines (vertex v lives on machine v / ceil(n/M));
 /// three rounds: route requests to owners, serve the bundle copies back,
 /// and a compute-only assembly round in which every requester machine
-/// slots the copies into request order. `delivered` is bit-identical to
-/// fetch_bundles' — tests/level0_programs_test.cpp locks the equivalence —
-/// so the analytic charge is grounded by a program the scheduler can
-/// pipeline.
+/// slots the copies into request order. Unlike fetch_bundles it moves
+/// real messages and returns owning copies; their words equal the views
+/// fetch_bundles delivers — tests/level0_programs_test.cpp locks the
+/// equivalence — so the analytic charge is grounded by a program the
+/// scheduler can pipeline.
 struct Level0BundleFetchResult {
   std::vector<std::vector<std::vector<Word>>> delivered;
   std::size_t rounds = 0;

@@ -168,8 +168,8 @@ TEST(TreeViewSerialization, RoundTripsStarAndPruned) {
   ASSERT_EQ(back.size(), star.size());
   for (TreeView::NodeId x = 0; x < star.size(); ++x) {
     EXPECT_EQ(back.vertex_of(x), star.vertex_of(x));
-    EXPECT_EQ(back.node(x).parent, star.node(x).parent);
-    EXPECT_EQ(back.node(x).depth, star.node(x).depth);
+    EXPECT_EQ(back.parent(x), star.parent(x));
+    EXPECT_EQ(back.depth(x), star.depth(x));
   }
   EXPECT_TRUE(back.is_valid_mapping(g));
 

@@ -25,10 +25,10 @@ TEST(Exponentiate, Claim33ValidMappingsThroughout) {
   mpc::MpcContext ctx(test_config(), &ledger);
   ExponentiateParams p{/*budget=*/64, /*prune_k=*/3, /*steps=*/3};
   const ExponentiateResult result = exponentiate_and_local_prune(g, p, ctx);
-  ASSERT_EQ(result.trees.size(), g.num_vertices());
+  ASSERT_EQ(result.num_trees(), g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_TRUE(result.trees[v].is_valid_mapping(g)) << "vertex " << v;
-    EXPECT_EQ(result.trees[v].root_vertex(), v);
+    EXPECT_TRUE(result.tree(v).is_valid_mapping(g)) << "vertex " << v;
+    EXPECT_EQ(result.tree(v).root_vertex(), v);
   }
 }
 
@@ -40,7 +40,8 @@ TEST(Exponentiate, Claim34BudgetNeverExceeded) {
     mpc::MpcContext ctx(test_config(), &ledger);
     ExponentiateParams p{budget, /*prune_k=*/2, /*steps=*/4};
     const ExponentiateResult result = exponentiate_and_local_prune(g, p, ctx);
-    for (const TreeView& t : result.trees) EXPECT_LE(t.size(), budget);
+    for (VertexId v = 0; v < result.num_trees(); ++v)
+      EXPECT_LE(result.tree(v).size(), budget);
     EXPECT_LE(result.max_tree_nodes, budget);
   }
 }
@@ -53,7 +54,7 @@ TEST(Exponentiate, HighDegreeVerticesStartInactive) {
   ExponentiateParams p{/*budget=*/16, /*prune_k=*/2, /*steps=*/2};
   const ExponentiateResult result = exponentiate_and_local_prune(g, p, ctx);
   EXPECT_FALSE(result.active[0]);
-  EXPECT_EQ(result.trees[0].size(), 1u);
+  EXPECT_EQ(result.tree(0).size(), 1u);
 }
 
 TEST(Exponentiate, ReachDoublesOnBipartiteCore) {
@@ -73,8 +74,8 @@ TEST(Exponentiate, ReachDoublesOnBipartiteCore) {
   ExponentiateParams p{/*budget=*/4096, /*prune_k=*/1, /*steps=*/2};
   const ExponentiateResult result = exponentiate_and_local_prune(g, p, ctx);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(result.trees[v].height(), 4u) << "vertex " << v;
-    EXPECT_EQ(result.trees[v].size(), 121u) << "vertex " << v;
+    EXPECT_EQ(result.tree(v).height(), 4u) << "vertex " << v;
+    EXPECT_EQ(result.tree(v).size(), 121u) << "vertex " << v;
     EXPECT_TRUE(result.active[v]);
   }
 }
@@ -94,7 +95,7 @@ TEST(Exponentiate, PrunedTreesOfInactiveVerticesKeepShrinking) {
     EXPECT_FALSE(result.active[v]);
     // Star with 6 children pruned with k=1 → at most 5 children remain...
     // then the size check (6 > 3) deactivates; step 2 prunes once more.
-    EXPECT_LE(result.trees[v].size(), 5u);
+    EXPECT_LE(result.tree(v).size(), 5u);
   }
 }
 
@@ -134,7 +135,7 @@ TEST(Exponentiate, IsolatedVerticesStaySingletons) {
   ExponentiateParams p{/*budget=*/8, /*prune_k=*/1, /*steps=*/2};
   const ExponentiateResult result = exponentiate_and_local_prune(g, p, ctx);
   for (VertexId v = 0; v < 5; ++v) {
-    EXPECT_EQ(result.trees[v].size(), 1u);
+    EXPECT_EQ(result.tree(v).size(), 1u);
     EXPECT_TRUE(result.active[v]);
   }
 }
@@ -162,7 +163,8 @@ TEST_P(ExponentiateSweep, BudgetInvariant) {
   mpc::MpcContext ctx(test_config(), &ledger);
   ExponentiateParams p{budget, /*prune_k=*/2, steps};
   const ExponentiateResult result = exponentiate_and_local_prune(g, p, ctx);
-  for (const TreeView& t : result.trees) {
+  for (VertexId v = 0; v < result.num_trees(); ++v) {
+    const TreeView t = result.tree(v);
     EXPECT_LE(t.size(), budget);
     EXPECT_TRUE(t.structurally_sound());
   }

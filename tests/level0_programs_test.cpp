@@ -478,14 +478,29 @@ TEST(BundleFetchProgram, MatchesAnalyticDelivery) {
   const ClusterConfig cfg{4, 1024};
   RoundLedger ledger(cfg);
   MpcContext ctx(cfg, &ledger);
-  const BundleFetchResult analytic =
-      fetch_bundles(ctx, bundles, requests, "fetch");
+  const std::vector<std::span<const Word>> views(bundles.begin(),
+                                                 bundles.end());
+  RequestLists lists;
+  for (const auto& list : requests) lists.add(list);
+  const BundleFetchResult analytic = fetch_bundles(ctx, views, lists, "fetch");
 
   Cluster cluster(cfg, nullptr);
   const Level0BundleFetchResult executed =
       fetch_bundles_program(cluster, bundles, requests);
   EXPECT_EQ(executed.rounds, 3u);
-  EXPECT_EQ(executed.delivered, analytic.delivered);
+  // The executed program's copies carry exactly the words the analytic
+  // fetch delivers as views.
+  ASSERT_EQ(executed.delivered.size(), lists.num_requesters());
+  for (std::size_t u = 0; u < requests.size(); ++u) {
+    ASSERT_EQ(executed.delivered[u].size(), requests[u].size()) << u;
+    for (std::size_t slot = 0; slot < requests[u].size(); ++slot) {
+      const std::span<const Word> view =
+          analytic.delivered[lists.begin[u] + slot];
+      EXPECT_EQ(executed.delivered[u][slot],
+                std::vector<Word>(view.begin(), view.end()))
+          << "requester " << u << " slot " << slot;
+    }
+  }
 }
 
 TEST(BundleFetchProgram, RejectsUnknownVertex) {

@@ -34,7 +34,7 @@ TEST(LocalPrune, RootAboveKDropsKLargest) {
   // All child subtrees have size 1; pruning k=2 keeps 3 of them.
   const TreeView pruned = local_prune(t, 2);
   EXPECT_EQ(pruned.size(), 4u);
-  EXPECT_EQ(pruned.node(0).children.size(), 3u);
+  EXPECT_EQ(pruned.children(0).size(), 3u);
   EXPECT_TRUE(pruned.is_valid_mapping(g));
 }
 
@@ -55,20 +55,20 @@ TEST(LocalPrune, PrunesHeaviestSubtreesFirst) {
 
   // Tree: root(0) -> {1, 2, 3}; 3 -> 4 -> 5.
   std::vector<TreeView::Node> nodes(6);
-  nodes[0] = {0, TreeView::kNoNode, 0, {1, 2, 3}};
-  nodes[1] = {1, 0, 1, {}};
-  nodes[2] = {2, 0, 1, {}};
-  nodes[3] = {3, 0, 1, {4}};
-  nodes[4] = {4, 3, 2, {5}};
-  nodes[5] = {5, 4, 3, {}};
-  const TreeView t = TreeView::from_nodes(std::move(nodes));
+  nodes[0] = {0, TreeView::kNoNode, 0};
+  nodes[1] = {1, 0, 1};
+  nodes[2] = {2, 0, 1};
+  nodes[3] = {3, 0, 1};
+  nodes[4] = {4, 3, 2};
+  nodes[5] = {5, 4, 3};
+  const TreeView t = TreeView::from_nodes(nodes);
 
   const TreeView pruned = local_prune(t, 1);
   // Chain under 3 collapses (each node ≤ 1 child = k → singleton), so all
   // three child subtrees have size 1; k=1 drops one → root keeps 2.
   EXPECT_EQ(pruned.size(), 3u);
   for (NodeId x = 0; x < pruned.size(); ++x)
-    EXPECT_LE(pruned.node(x).depth, 1u);
+    EXPECT_LE(pruned.depth(x), 1u);
 }
 
 TEST(LocalPrune, DeterministicTieBreaks) {
@@ -99,7 +99,7 @@ TEST(LocalPrune, Claim31MissingGrowsByAtMostK) {
     TreeView t = TreeView::star(start, g.neighbors(start));
     for (int grow = 0; grow < 2; ++grow) {
       std::vector<TreeView> stars;
-      std::vector<std::pair<NodeId, const TreeView*>> attachments;
+      std::vector<TreeView::Attachment> attachments;
       const auto leaves = t.leaves_at_depth(t.height());
       stars.reserve(leaves.size());
       for (NodeId leaf : leaves) {
@@ -108,7 +108,7 @@ TEST(LocalPrune, Claim31MissingGrowsByAtMostK) {
       }
       attachments.reserve(leaves.size());
       for (std::size_t i = 0; i < leaves.size(); ++i)
-        attachments.emplace_back(leaves[i], &stars[i]);
+        attachments.push_back({leaves[i], stars[i].words()});
       t = t.attach(attachments);
       if (t.size() > 4000) break;
     }
@@ -134,9 +134,9 @@ TEST(LocalPrune, Claim31MissingGrowsByAtMostK) {
       EXPECT_LE(missing_after, missing_before + k)
           << "Claim 3.1 violated (trial " << trial << ")";
       std::map<VertexId, NodeId> orig_children;
-      for (NodeId c : t.node(ox).children)
+      for (NodeId c : t.children(ox))
         orig_children[t.vertex_of(c)] = c;
-      for (NodeId pc : pruned.node(px).children) {
+      for (NodeId pc : pruned.children(px)) {
         const auto it = orig_children.find(pruned.vertex_of(pc));
         ASSERT_NE(it, orig_children.end())
             << "pruned tree has a child not present in the original";
@@ -162,7 +162,7 @@ TEST(LocalPrune, Lemma32SizeBoundedByPathCount) {
     // One round of star expansion to create depth-2 trees.
     {
       std::vector<TreeView> stars;
-      std::vector<std::pair<NodeId, const TreeView*>> attachments;
+      std::vector<TreeView::Attachment> attachments;
       const auto leaves = t.leaves_at_depth(1);
       stars.reserve(leaves.size());
       for (NodeId leaf : leaves) {
@@ -170,7 +170,7 @@ TEST(LocalPrune, Lemma32SizeBoundedByPathCount) {
         stars.push_back(TreeView::star(u, g.neighbors(u)));
       }
       for (std::size_t i = 0; i < leaves.size(); ++i)
-        attachments.emplace_back(leaves[i], &stars[i]);
+        attachments.push_back({leaves[i], stars[i].words()});
       t = t.attach(attachments);
     }
 

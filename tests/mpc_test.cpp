@@ -289,19 +289,35 @@ TEST(DistributedGraph, StorageAccounting) {
   EXPECT_LE(dg.max_storage_words(), dg.total_storage_words());
 }
 
+RequestLists request_lists(
+    const std::vector<std::vector<graph::VertexId>>& lists) {
+  RequestLists requests;
+  for (const auto& list : lists) requests.add(list);
+  return requests;
+}
+
+std::vector<Word> words_of(std::span<const Word> view) {
+  return {view.begin(), view.end()};
+}
+
 TEST(BundleFetch, DeliversRequestedBundles) {
   const ClusterConfig cfg{8, 1024};
   RoundLedger ledger(cfg);
   MpcContext ctx(cfg, &ledger);
   std::vector<std::vector<Word>> bundles{{10}, {20, 21}, {30}};
-  std::vector<std::vector<graph::VertexId>> requests{{1, 2}, {}, {0}};
-  const auto result = fetch_bundles(ctx, bundles, requests, "fetch");
+  const std::vector<std::span<const Word>> views(bundles.begin(),
+                                                 bundles.end());
+  const RequestLists requests = request_lists({{1, 2}, {}, {0}});
+  const auto result = fetch_bundles(ctx, views, requests, "fetch");
   ASSERT_EQ(result.delivered.size(), 3u);
-  ASSERT_EQ(result.delivered[0].size(), 2u);
-  EXPECT_EQ(result.delivered[0][0], (std::vector<Word>{20, 21}));
-  EXPECT_EQ(result.delivered[0][1], (std::vector<Word>{30}));
-  EXPECT_EQ(result.delivered[2][0], (std::vector<Word>{10}));
-  EXPECT_TRUE(result.delivered[1].empty());
+  ASSERT_EQ(requests.of(0).size(), 2u);
+  EXPECT_EQ(words_of(result.delivered[0]), (std::vector<Word>{20, 21}));
+  EXPECT_EQ(words_of(result.delivered[1]), (std::vector<Word>{30}));
+  EXPECT_EQ(words_of(result.delivered[2]), (std::vector<Word>{10}));
+  EXPECT_TRUE(requests.of(1).empty());
+  // Views of the owners' storage, not copies.
+  EXPECT_EQ(result.delivered[0].data(), bundles[1].data());
+  EXPECT_EQ(result.delivered[2].data(), bundles[0].data());
 }
 
 TEST(BundleFetch, StatsReflectVolumes) {
@@ -309,8 +325,10 @@ TEST(BundleFetch, StatsReflectVolumes) {
   RoundLedger ledger(cfg);
   MpcContext ctx(cfg, &ledger);
   std::vector<std::vector<Word>> bundles{{1, 2, 3}, {4}};
-  std::vector<std::vector<graph::VertexId>> requests{{0, 1}, {0}};
-  const auto result = fetch_bundles(ctx, bundles, requests, "fetch");
+  const std::vector<std::span<const Word>> views(bundles.begin(),
+                                                 bundles.end());
+  const auto result =
+      fetch_bundles(ctx, views, request_lists({{0, 1}, {0}}), "fetch");
   EXPECT_EQ(result.stats.max_request_list, 2u);
   EXPECT_EQ(result.stats.max_bundle_words, 3u);
   EXPECT_EQ(result.stats.max_copies, 2u);  // bundle 0 requested twice
@@ -324,8 +342,9 @@ TEST(BundleFetch, RejectsUnknownVertex) {
   RoundLedger ledger(cfg);
   MpcContext ctx(cfg, &ledger);
   std::vector<std::vector<Word>> bundles{{1}};
-  std::vector<std::vector<graph::VertexId>> requests{{5}};
-  EXPECT_THROW(fetch_bundles(ctx, bundles, requests, "fetch"),
+  const std::vector<std::span<const Word>> views(bundles.begin(),
+                                                 bundles.end());
+  EXPECT_THROW(fetch_bundles(ctx, views, request_lists({{5}}), "fetch"),
                arbor::InvariantError);
 }
 

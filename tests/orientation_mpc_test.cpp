@@ -12,6 +12,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "mpc/ledger.hpp"
+#include "util/hashing.hpp"
 #include "util/rng.hpp"
 
 namespace arbor::core {
@@ -171,6 +172,80 @@ TEST(MpcOrient, DeterministicForFixedSeed) {
     EXPECT_EQ(r1.orientation.oriented_towards_v(i),
               r2.orientation.oriented_towards_v(i));
   EXPECT_EQ(l1->total_rounds(), l2->total_rounds());
+}
+
+// ---- Golden pin: the layering hot path must stay bit-identical. ----
+//
+// Values recorded from the node-vector TreeView implementation of graph
+// exponentiation and local prune (per-node children vectors, deserialize-
+// then-attach, copying bundle fetch); any rewrite of those must reproduce
+// the orientation, the layering statistics and the ledger exactly.
+
+struct OrientGolden {
+  std::uint64_t orientation_hash = 0;
+  std::size_t outdegree_bound = 0;
+  LayeringRunStats stats;
+  std::size_t total_rounds = 0;
+  std::size_t fetch_rounds = 0;
+  std::size_t peak_local_words = 0;
+  std::size_t peak_global_words = 0;
+};
+
+std::uint64_t orientation_hash(const Graph& g, const graph::Orientation& o) {
+  std::uint64_t h = util::mix64(g.num_edges());
+  for (std::size_t i = 0; i < g.num_edges(); ++i)
+    h = util::hash_combine(h, o.oriented_towards_v(i) ? 1u : 0u);
+  return h;
+}
+
+void expect_orient_golden(const Graph& g, const OrientGolden& want,
+                          std::size_t* parts_out = nullptr) {
+  mpc::RoundLedger* ledger = nullptr;
+  auto ctx = make_ctx(g, ledger);
+  const MpcOrientationResult result = mpc_orient(g, {}, ctx);
+  ASSERT_LE(result.orientation.max_outdegree(g), result.outdegree_bound);
+  EXPECT_EQ(orientation_hash(g, result.orientation), want.orientation_hash);
+  EXPECT_EQ(result.outdegree_bound, want.outdegree_bound);
+  EXPECT_EQ(result.stats.phases, want.stats.phases);
+  EXPECT_EQ(result.stats.partial_iterations, want.stats.partial_iterations);
+  EXPECT_EQ(result.stats.fallback_peel_rounds,
+            want.stats.fallback_peel_rounds);
+  EXPECT_EQ(result.stats.escalations, want.stats.escalations);
+  EXPECT_EQ(result.stats.max_budget_used, want.stats.max_budget_used);
+  EXPECT_EQ(ledger->total_rounds(), want.total_rounds);
+  const auto& by_label = ledger->rounds_by_label();
+  const auto fetch = by_label.find("exponentiate.fetch");
+  ASSERT_NE(fetch, by_label.end());
+  EXPECT_EQ(fetch->second, want.fetch_rounds);
+  EXPECT_EQ(ledger->peak_local_words(), want.peak_local_words);
+  EXPECT_EQ(ledger->peak_global_words(), want.peak_global_words);
+  if (parts_out != nullptr) *parts_out = result.parts;
+}
+
+TEST(MpcOrientGolden, ForestUnion) {
+  util::SplitRng rng(41);
+  const Graph g = graph::forest_union(5000, 4, rng);
+  expect_orient_golden(
+      g, {3300183149675429268ULL, 25, {1, 1, 6, 0, 125}, 28, 17, 76, 324792});
+}
+
+TEST(MpcOrientGolden, BarabasiAlbert) {
+  util::SplitRng rng(42);
+  const Graph g = graph::barabasi_albert(5000, 4, rng);
+  expect_orient_golden(
+      g, {14041752193641128807ULL, 20, {1, 2, 6, 0, 64}, 36, 23, 121, 324870});
+}
+
+// k is far above 4·log2(n), so this pins the Lemma 2.1 edge partition: every
+// part runs its own exponentiation on a small subgraph.
+TEST(MpcOrientGolden, PlantedCliqueEdgePartition) {
+  util::SplitRng rng(43);
+  const Graph g = graph::planted_clique(5000, 10000, 120, rng);
+  std::size_t parts = 0;
+  expect_orient_golden(
+      g, {15279623660670654029ULL, 216, {1, 1, 7, 0, 0}, 20, 10, 49, 288842},
+      &parts);
+  EXPECT_GT(parts, 1u);  // the Lemma 2.1 path, not the single-part one
 }
 
 }  // namespace

@@ -62,9 +62,9 @@ TEST(PartialLayerTree, SynchronousSelectionWithinLayer) {
   // same iteration (it doesn't change the count, but this pins semantics).
   const Graph g = graph::path(3);
   std::vector<TreeView::Node> nodes(2);
-  nodes[0] = {1, TreeView::kNoNode, 0, {1}};
-  nodes[1] = {2, 0, 1, {}};
-  const TreeView t = TreeView::from_nodes(std::move(nodes));
+  nodes[0] = {1, TreeView::kNoNode, 0};
+  nodes[1] = {2, 0, 1};
+  const TreeView t = TreeView::from_nodes(nodes);
   // missing(root) = deg(1) - 1 = 1; missing(child) = deg(2) = 1.
   const auto tight = partial_layer_assignment_tree(g, t, 1, 4);
   EXPECT_EQ(tight[1], 1u);
@@ -90,14 +90,14 @@ TEST(PartialLayerTree, Lemma38TreeLayersLowerBoundGraphLayers) {
     TreeView t = TreeView::star(start, g.neighbors(start));
     {
       std::vector<TreeView> stars;
-      std::vector<std::pair<NodeId, const TreeView*>> attachments;
+      std::vector<TreeView::Attachment> attachments;
       const auto leaves = t.leaves_at_depth(1);
       for (NodeId leaf : leaves) {
         const VertexId u = t.vertex_of(leaf);
         stars.push_back(TreeView::star(u, g.neighbors(u)));
       }
       for (std::size_t i = 0; i < leaves.size(); ++i)
-        attachments.emplace_back(leaves[i], &stars[i]);
+        attachments.push_back({leaves[i], stars[i].words()});
       t = t.attach(attachments);
     }
     // Leaves at depth 2 have missing = deg - 0 children... they have no

@@ -15,12 +15,15 @@
 //     coloring stage span.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/coloring_mpc.hpp"
+#include "core/exponentiate.hpp"
+#include "core/orientation_mpc.hpp"
 #include "graph/coloring.hpp"
 #include "graph/generators.hpp"
 #include "mpc/cluster.hpp"
@@ -324,6 +327,71 @@ TEST(TraceStages, ColoringNestsConeGaugeAndLayerSpans) {
   EXPECT_GE(nested["color.cone_gauge"], 1u);
   EXPECT_LE(nested["color.cone_gauge"], result.blocks);
   EXPECT_GE(nested["color.layer"], result.blocks);
+  tracer.clear();
+}
+
+TEST(TraceStages, LayeringNestsExponentiateSpans) {
+  Tracer& tracer = Tracer::global();
+  ScopedMode guard(tracer, Mode::kSpans);
+  tracer.clear();
+
+  util::SplitRng rng(6);
+  const graph::Graph g = graph::forest_union(5000, 4, rng);
+  const ClusterConfig cfg =
+      ClusterConfig::for_problem(g.num_vertices(), g.num_edges(), 0.6);
+  {
+    mpc::RoundLedger ledger(cfg);
+    mpc::MpcContext ctx(cfg, &ledger);
+    const core::MpcOrientationResult result = core::mpc_orient(g, {}, ctx);
+    ASSERT_LE(result.orientation.max_outdegree(g), result.outdegree_bound);
+  }
+
+  const char* const kStepSpans[] = {"exponentiate.prune", "exponentiate.fetch",
+                                    "exponentiate.attach"};
+  TelemetryBlob blob = tracer.drain_telemetry();
+  std::vector<TelemetrySpan> stages;
+  std::map<std::string, std::vector<TelemetrySpan>> steps;
+  for (const TelemetrySpan& span : blob.spans) {
+    if (span.category != "mpc") continue;
+    if (span.name == "layering.partial_iterated") stages.push_back(span);
+    for (const char* name : kStepSpans)
+      if (span.name == name) steps[name].push_back(span);
+  }
+  ASSERT_FALSE(stages.empty());
+  ASSERT_FALSE(steps["exponentiate.prune"].empty());
+  for (const auto& [name, spans] : steps) {
+    // One of each per exponentiation step.
+    EXPECT_EQ(spans.size(), steps["exponentiate.prune"].size()) << name;
+    for (const TelemetrySpan& span : spans) {
+      const bool nested = std::any_of(
+          stages.begin(), stages.end(), [&](const TelemetrySpan& stage) {
+            return span.tid == stage.tid && span.start_ns >= stage.start_ns &&
+                   span.start_ns + span.dur_ns <=
+                       stage.start_ns + stage.dur_ns;
+          });
+      EXPECT_TRUE(nested) << name << " outside layering.partial_iterated";
+    }
+  }
+  // Within a step the phases run in order: prune, fetch, attach.
+  for (std::size_t i = 0; i < steps["exponentiate.prune"].size(); ++i) {
+    const TelemetrySpan& prune = steps["exponentiate.prune"][i];
+    const TelemetrySpan& fetch = steps["exponentiate.fetch"][i];
+    const TelemetrySpan& attach = steps["exponentiate.attach"][i];
+    EXPECT_LE(prune.start_ns + prune.dur_ns, fetch.start_ns) << i;
+    EXPECT_LE(fetch.start_ns + fetch.dur_ns, attach.start_ns) << i;
+  }
+
+  // A direct call with s steps opens exactly s spans of each kind.
+  tracer.clear();
+  mpc::RoundLedger ledger(cfg);
+  mpc::MpcContext ctx(cfg, &ledger);
+  const core::ExponentiateParams params{/*budget=*/64, /*prune_k=*/4,
+                                        /*steps=*/3};
+  (void)core::exponentiate_and_local_prune(g, params, ctx);
+  blob = tracer.drain_telemetry();
+  std::map<std::string, std::size_t> direct;
+  for (const TelemetrySpan& span : blob.spans) ++direct[span.name];
+  for (const char* name : kStepSpans) EXPECT_EQ(direct[name], 3u) << name;
   tracer.clear();
 }
 
